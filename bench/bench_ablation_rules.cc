@@ -30,11 +30,13 @@ RuleStats MeasureRule(const ExtendedRelation& a, const ExtendedRelation& b,
   options.rule = rule;
   options.on_total_conflict = TotalConflictPolicy::kSkipTuple;
   const size_t unc_index = a.schema()->IndexOf("unc0").value();
-  for (const ExtendedTuple& t : a.rows()) {
+  for (size_t row_index = 0; row_index < a.size(); ++row_index) {
+    const ExtendedTuple t = a.row(row_index);
     auto row_b = b.FindByKey(a.KeyOf(t));
     if (!row_b.ok()) continue;
     const auto& ea = std::get<EvidenceSet>(t.cells[unc_index]);
-    const auto& eb = std::get<EvidenceSet>(b.row(*row_b).cells[unc_index]);
+    const EvidenceSet eb =
+        std::get<EvidenceSet>(b.row(*row_b).cells[unc_index]);
     auto combined = CombineEvidence(ea, eb, rule);
     if (!combined.ok()) {
       ++stats.conflicts;

@@ -103,6 +103,56 @@ void BM_JoinByMatchRate(benchmark::State& state) {
 BENCHMARK(BM_JoinByMatchRate)->Arg(0)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
+// A predicate over a frame wider than 64 values does not bind to bit
+// masks, so it is interpreted over rows decoded from the column image.
+// The operands are column images, as catalog relations are.
+ExtendedRelation MakeWideFrameRelation(const std::string& name,
+                                       size_t tuples) {
+  WorkloadGenerator gen(4242 + tuples + name.size());
+  GeneratorOptions options;
+  options.num_tuples = tuples;
+  options.num_uncertain = 2;
+  options.domain_size = 96;
+  auto schema = gen.MakeSchema(options).value();
+  ExtendedRelation rows = gen.MakeRelation(name, schema, options).value();
+  return ExtendedRelation::AdoptColumns(rows.columns());
+}
+
+void BM_SelectWideFrame(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const ExtendedRelation r = MakeWideFrameRelation("W", n);
+  PredicatePtr pred = IsSym("unc0", {"v0", "v1", "v2"});
+  for (auto _ : state) {
+    auto result = Select(r, pred);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  state.SetLabel("domain=96");
+}
+BENCHMARK(BM_SelectWideFrame)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+// Hash join on the key with a residual over the 96-value frame: the
+// residual is interpreted on every key-matching pair.
+void BM_JoinWideFrameResidual(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const ExtendedRelation left = MakeWideFrameRelation("L", n);
+  const ExtendedRelation right = MakeWideFrameRelation("R", n);
+  PredicatePtr pred = And({Theta(ThetaOperand::Attr("L.key"), ThetaOp::kEq,
+                                 ThetaOperand::Attr("R.key")),
+                           IsSym("L.unc0", {"v0", "v1", "v2"})});
+  for (auto _ : state) {
+    auto result = Join(left, right, pred);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  state.SetLabel("domain=96");
+}
+BENCHMARK(BM_JoinWideFrameResidual)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_EqlEndToEnd(benchmark::State& state) {
   Catalog catalog;
   (void)catalog.RegisterRelation(MakeRelation(10000));
@@ -135,4 +185,5 @@ BENCHMARK(BM_EqlParseOnly);
 EVIDENT_PERF_BENCH_MAIN(
     "bench_perf_select_join",
     "(BM_SelectByTuples/100|BM_SelectByConjuncts/1|BM_JoinByTuples/32|"
-    "BM_JoinByTuples/2048|BM_JoinByMatchRate/50|BM_EqlParseOnly)$")
+    "BM_JoinByTuples/2048|BM_JoinByMatchRate/50|BM_SelectWideFrame/1000|"
+    "BM_JoinWideFrameResidual/1000|BM_EqlParseOnly)$")

@@ -53,7 +53,8 @@ inline void CheckRelation(Checker* checker, const ExtendedRelation& got,
   checker->CheckTrue("tuple count " + std::to_string(got.size()) + " == " +
                          std::to_string(want.size()),
                      got.size() == want.size());
-  for (const ExtendedTuple& expected : want.rows()) {
+  for (size_t row_index = 0; row_index < want.size(); ++row_index) {
+    const ExtendedTuple expected = want.row(row_index);
     const KeyVector key = want.KeyOf(expected);
     std::string key_text;
     for (const Value& v : key) key_text += v.ToString();

@@ -32,9 +32,9 @@ Result<ComparisonMetrics> RunComparison(const GroundTruthWorkload& workload,
     auto row_a = workload.source_a.FindByKey(key);
     auto row_b = workload.source_b.FindByKey(key);
     if (!row_a.ok() || !row_b.ok()) continue;
-    const EvidenceSet& ea =
+    const EvidenceSet ea =
         std::get<EvidenceSet>(workload.source_a.row(*row_a).cells[cat_index]);
-    const EvidenceSet& eb =
+    const EvidenceSet eb =
         std::get<EvidenceSet>(workload.source_b.row(*row_b).cells[cat_index]);
     ++metrics.entities;
 

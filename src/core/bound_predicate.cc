@@ -19,6 +19,7 @@ struct EvalScratch {
   FocalBuf lhs_focals;
   FocalBuf rhs_focals;
   std::vector<uint64_t> sat;
+  ExtendedTuple tuple;  // the interpreted path's decoded row
 };
 
 EvalScratch& Scratch() {
@@ -62,16 +63,30 @@ SupportPair IsEvidenceSupportSpan(uint64_t set, const uint64_t* words,
   return SupportPair{ClampUnit(bel), ClampUnit(pls)};
 }
 
-SupportPair IsEvidenceSupportFocals(uint64_t set,
-                                    const MassFunction::FocalVector& focals) {
-  double bel = 0.0;
-  double pls = 0.0;
-  for (const auto& [focal, mass] : focals) {
-    const uint64_t w = focal.InlineWord();
-    if (w != 0 && (w & ~set) == 0) bel += mass;
-    if ((w & set) != 0) pls += mass;
+/// Appends the schema positions the interpreter reads when evaluating
+/// `predicate` (an attribute that does not resolve fails before its cell
+/// is read); a predicate type it does not know may read every cell.
+void CollectReads(const Predicate& predicate, const RelationSchema& schema,
+                  std::vector<size_t>* reads) {
+  const auto add = [&](const std::string& name) {
+    if (auto index = schema.IndexOf(name); index.ok()) {
+      reads->push_back(*index);
+    }
+  };
+  if (const auto* is = dynamic_cast<const IsPredicate*>(&predicate)) {
+    add(is->attribute());
+  } else if (const auto* theta =
+                 dynamic_cast<const ThetaPredicate*>(&predicate)) {
+    if (theta->lhs().is_attribute()) add(theta->lhs().attribute());
+    if (theta->rhs().is_attribute()) add(theta->rhs().attribute());
+  } else if (const auto* conjunction =
+                 dynamic_cast<const AndPredicate*>(&predicate)) {
+    for (const PredicatePtr& child : conjunction->children()) {
+      CollectReads(*child, schema, reads);
+    }
+  } else {
+    for (size_t a = 0; a < schema.size(); ++a) reads->push_back(a);
   }
-  return SupportPair{ClampUnit(bel), ClampUnit(pls)};
 }
 
 }  // namespace
@@ -87,7 +102,11 @@ BoundPredicate BoundPredicate::BindPair(PredicatePtr predicate,
   bound.schema_ = std::move(schema);
   bound.left_cells_ = left_cells;
   bound.fully_bound_ = bound.root_ != nullptr && bound.schema_ != nullptr;
-  if (bound.root_ != nullptr) bound.BindInto(bound.root_);
+  if (!bound.fully_bound_) return bound;
+  bound.BindInto(bound.root_);
+  if (!bound.fully_bound_) {
+    CollectReads(*bound.root_, *bound.schema_, &bound.reads_);
+  }
   return bound;
 }
 
@@ -106,9 +125,8 @@ void BoundPredicate::BindInto(const PredicatePtr& predicate) {
     return;
   }
   if (!BindConjunct(predicate)) {
-    // Callers route unbound predicates to the interpreted path wholesale
-    // (SelectRows, the join's materialize-then-evaluate branch), so no
-    // fallback conjunct is stored — the flag is the whole answer.
+    // An unbound predicate is interpreted wholesale at evaluation time,
+    // so no fallback conjunct is stored — the flag is the whole answer.
     fully_bound_ = false;
   }
 }
@@ -322,52 +340,31 @@ SupportPair EvalTheta(const BoundPredicate::Conjunct& c, ValueAt&& value_at,
   return ThetaSupport(c.semantics, s.lhs_focals, s.rhs_focals, sat);
 }
 
-void GatherCellFocals(const Cell& cell, FocalBuf* buf) {
-  for (const auto& [set, mass] : std::get<EvidenceSet>(cell).mass().focals()) {
-    buf->emplace_back(set.InlineWord(), mass);
-  }
-}
-
 }  // namespace
 
-SupportPair BoundPredicate::EvaluatePair(const ExtendedTuple& left,
-                                         const ExtendedTuple& right) const {
-  EvalScratch& s = Scratch();
-  auto cell_at = [&](size_t a) -> const Cell& {
-    return a < left_cells_ ? left.cells[a] : right.cells[a - left_cells_];
-  };
-  SupportPair acc = SupportPair::Certain();
-  for (const Conjunct& c : conjuncts_) {
-    SupportPair support;
-    switch (c.kind) {
-      case Conjunct::Kind::kIsDefinite:
-        support =
-            IsDefiniteSupport(std::get<Value>(cell_at(c.attr)), *c.is_values);
-        break;
-      case Conjunct::Kind::kIsEvidence:
-        support = IsEvidenceSupportFocals(
-            c.set_word,
-            std::get<EvidenceSet>(cell_at(c.attr)).mass().focals());
-        break;
-      case Conjunct::Kind::kTheta:
-        support = EvalTheta(
-            c,
-            [&](size_t a) -> const Value& {
-              return std::get<Value>(cell_at(a));
-            },
-            [&](size_t a, FocalBuf* buf) { GatherCellFocals(cell_at(a), buf); },
-            s);
-        break;
+Status BoundPredicate::Interpret(const ColumnStore& left, size_t lrow,
+                                 const ColumnStore* right, size_t rrow,
+                                 SupportPair* out) const {
+  // Decoding into the thread's scratch tuple reuses the previous row's
+  // cell storage; for a wide frame, copying focals into fresh storage
+  // would cost about as much as evaluating them.
+  ExtendedTuple& t = Scratch().tuple;
+  t.cells.resize(schema_->size());
+  for (size_t a : reads_) {
+    if (right == nullptr || a < left_cells_) {
+      left.ReadCell(a, lrow, &t.cells[a]);
+    } else {
+      right->ReadCell(a - left_cells_, rrow, &t.cells[a]);
     }
-    acc = acc.Multiply(support);
   }
-  return acc;
+  EVIDENT_ASSIGN_OR_RETURN(*out, root_->Evaluate(t, *schema_));
+  return Status::OK();
 }
 
-SupportPair BoundPredicate::EvaluatePairColumns(const ColumnStore& left,
-                                                size_t lrow,
-                                                const ColumnStore& right,
-                                                size_t rrow) const {
+SupportPair BoundPredicate::EvaluateBoundPair(const ColumnStore& left,
+                                              size_t lrow,
+                                              const ColumnStore& right,
+                                              size_t rrow) const {
   EvalScratch& s = Scratch();
   // Bound conjuncts only reference kValue columns (definite attributes)
   // and kEvidence columns (inline-frame uncertain attributes) — wider
@@ -420,8 +417,8 @@ SupportPair BoundPredicate::EvaluatePairColumns(const ColumnStore& left,
   return acc;
 }
 
-void BoundPredicate::EvaluateColumns(const ColumnStore& store, size_t begin,
-                                     size_t end, SupportPair* out) const {
+void BoundPredicate::EvaluateBoundRows(const ColumnStore& store, size_t begin,
+                                       size_t end, SupportPair* out) const {
   EvalScratch& s = Scratch();
   for (size_t r = begin; r < end; ++r) out[r] = SupportPair::Certain();
   // Column-at-a-time: each conjunct sweeps its rows contiguously; the

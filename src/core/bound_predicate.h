@@ -18,48 +18,46 @@ namespace evident {
 /// over the attribute's frame, theta comparisons tabulated as per-element
 /// satisfaction masks — once per operator call instead of once per tuple.
 ///
-/// Evaluation is arithmetic-identical to Predicate::Evaluate (same focal
-/// iteration orders, same accumulation sequences), so the interpreted and
-/// bound paths produce bit-equal support pairs; the columnar operators
-/// rely on this for their bit-identical-to-row-mode contract. Conjuncts
-/// the binder cannot pre-resolve — unknown attribute names, constants
-/// outside the frame, frames wider than the inline 64-value word, or
-/// predicate types it does not know — fall back to the interpreted
-/// predicate so behaviour (including per-row error reporting) never
-/// changes; such predicates report fully_bound() == false and are
-/// excluded from the columnar and pair fast paths.
+/// Evaluation is total and arithmetic-identical to Predicate::Evaluate
+/// (same focal iteration orders, same accumulation sequences), so every
+/// operator has one execution path. When some conjunct cannot be
+/// pre-resolved — unknown attribute names, constants outside the frame,
+/// frames wider than the inline 64-value word, the empty conjunction, or
+/// predicate types the binder does not know — the whole predicate is
+/// evaluated by interpretation over the row decoded from the column
+/// store (the concatenated pair for BindPair; only the cells the
+/// predicate reads are decoded), with the interpreted path's arithmetic
+/// and error text. fully_bound() tells the optimizer
+/// whether a rewrite that skips evaluation (pushdown, fusion, zone-map
+/// pruning) is legal: only a fully bound predicate cannot fail.
 class BoundPredicate {
  public:
   /// \brief Compiles `predicate` against `schema`. Never fails: what
-  /// cannot be bound falls back to interpretation.
+  /// cannot be bound is interpreted at evaluation time.
   static BoundPredicate Bind(PredicatePtr predicate, SchemaPtr schema);
 
   /// \brief Bind against a product schema whose first `left_cells`
-  /// attributes come from the left operand — enables EvaluatePair for
-  /// the hash-join residual without materializing the pair's tuple.
+  /// attributes come from the left operand — enables EvaluatePairColumns
+  /// for the hash-join residual without materializing the pair's tuple.
   static BoundPredicate BindPair(PredicatePtr predicate, SchemaPtr schema,
                                  size_t left_cells);
 
-  /// \brief True when every conjunct was pre-resolved. Then evaluation
-  /// cannot fail and EvaluatePair / EvaluateColumns are available;
-  /// otherwise callers fall back to the interpreted predicate.
+  /// \brief True when every conjunct was pre-resolved; then evaluation
+  /// cannot fail.
   bool fully_bound() const { return fully_bound_; }
 
-  /// \brief Evaluate over the (left, right) pair as if over the
-  /// concatenated product tuple, without building it. Requires
-  /// fully_bound() and a BindPair-compiled predicate.
-  SupportPair EvaluatePair(const ExtendedTuple& left,
-                           const ExtendedTuple& right) const;
-
-  /// \brief EvaluatePair straight off the operands' column stores:
-  /// evaluates the pair (left row `lrow`, right row `rrow`) reading
-  /// packed value/evidence columns — the join splice path, which never
-  /// materializes operand row objects. Requires fully_bound() and a
-  /// BindPair-compiled predicate; arithmetic-identical to EvaluatePair
-  /// (same focal orders, same accumulation sequences).
-  SupportPair EvaluatePairColumns(const ColumnStore& left, size_t lrow,
-                                  const ColumnStore& right,
-                                  size_t rrow) const;
+  /// \brief Evaluates the pair (left row `lrow`, right row `rrow`) as if
+  /// over the concatenated product tuple, reading the operands' packed
+  /// value/evidence columns — the join probe, which never materializes
+  /// operand rows. Requires a BindPair-compiled predicate. Writes the
+  /// support to `out`, or returns the interpreted path's error.
+  Status EvaluatePairColumns(const ColumnStore& left, size_t lrow,
+                             const ColumnStore& right, size_t rrow,
+                             SupportPair* out) const {
+    if (!fully_bound_) return Interpret(left, lrow, &right, rrow, out);
+    *out = EvaluateBoundPair(left, lrow, right, rrow);
+    return Status::OK();
+  }
 
   /// \brief True when some conjunct is provably unsatisfiable on every
   /// row of the partition, judged from its zone map alone — then every
@@ -68,23 +66,33 @@ class BoundPredicate {
   /// reading (or even verifying) its bytes. Only definite-attribute
   /// theta comparisons and definite IS conjuncts consult the zones;
   /// everything else conservatively returns false. Requires
-  /// fully_bound() on a single-relation (Bind, not BindPair) predicate;
-  /// returns false otherwise.
+  /// fully_bound() on a single-relation (Bind, not BindPair) predicate
+  /// (skipping rows is illegal when evaluation could fail); returns
+  /// false otherwise.
   bool RefutesPartition(const ColumnStore::PartitionZone& zone) const;
 
   /// \brief Evaluates rows [begin, end) of the column store, writing
   /// out[row] for each — `out` is indexed *absolutely* (out[row], not
   /// out[row - begin]), so morsel-parallel callers hand every worker the
   /// same full-size output array and the disjoint ranges stay disjoint
-  /// writes. Requires fully_bound(); reads packed evidence spans
-  /// directly (no per-row evidence objects). Thread-safe across
-  /// disjoint ranges (scratch is thread-local). The per-row
+  /// writes. Returns the first failing row's error (rows after it are
+  /// left unwritten); a fully bound predicate never fails. Thread-safe
+  /// across disjoint ranges (scratch is thread-local). The per-row
   /// multiplication sequence runs in conjunct order regardless of range
   /// width, so a single-row call (begin = row, end = row + 1 — how the
   /// fused pipeline's sparse later stages evaluate surviving rows) is
   /// arithmetic-identical to the same row inside a full-range sweep.
-  void EvaluateColumns(const ColumnStore& store, size_t begin, size_t end,
-                       SupportPair* out) const;
+  Status EvaluateColumns(const ColumnStore& store, size_t begin, size_t end,
+                         SupportPair* out) const {
+    if (!fully_bound_) {
+      for (size_t r = begin; r < end; ++r) {
+        EVIDENT_RETURN_NOT_OK(Interpret(store, r, nullptr, 0, &out[r]));
+      }
+      return Status::OK();
+    }
+    EvaluateBoundRows(store, begin, end, out);
+    return Status::OK();
+  }
 
   /// \name Compiled representation (public for the evaluation helpers in
   /// bound_predicate.cc; not part of the stable API).
@@ -139,11 +147,27 @@ class BoundPredicate {
  private:
   void BindInto(const PredicatePtr& predicate);
   bool BindConjunct(const PredicatePtr& predicate);
+  /// The compiled evaluation (fully bound predicates only). The public
+  /// entry points wrap it inline, so a fully bound call's OK status
+  /// folds away at the call site — the fused pipeline evaluates its
+  /// sparse stages one surviving row per call.
+  void EvaluateBoundRows(const ColumnStore& store, size_t begin, size_t end,
+                         SupportPair* out) const;
+  SupportPair EvaluateBoundPair(const ColumnStore& left, size_t lrow,
+                                const ColumnStore& right, size_t rrow) const;
+  /// The interpretation of a predicate that did not bind: root_ over
+  /// row `lrow` of `left` (concatenated with row `rrow` of `right` when
+  /// given). Only the cells in `reads_` are decoded; the interpreter
+  /// never reads the others.
+  Status Interpret(const ColumnStore& left, size_t lrow,
+                   const ColumnStore* right, size_t rrow,
+                   SupportPair* out) const;
 
   PredicatePtr root_;
   SchemaPtr schema_;
   std::vector<Conjunct> conjuncts_;
   size_t left_cells_ = 0;  // BindPair split point (0 = single relation)
+  std::vector<size_t> reads_;  // cells the interpreted root_ reads
   bool fully_bound_ = false;
 };
 

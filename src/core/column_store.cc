@@ -56,11 +56,12 @@ std::vector<std::pair<size_t, size_t>> UnprunedRowRuns(
   return runs;
 }
 
-ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
+ColumnStore ColumnStore::FromRows(SchemaPtr schema, std::string name,
+                                  const std::vector<ExtendedTuple>& tuples) {
   ColumnStore store;
-  store.schema_ = rel.schema();
-  store.name_ = rel.name();
-  const size_t rows = rel.size();
+  store.schema_ = std::move(schema);
+  store.name_ = std::move(name);
+  const size_t rows = tuples.size();
   const size_t attrs = store.schema_ != nullptr ? store.schema_->size() : 0;
   store.kinds_.resize(attrs);
   store.slots_.resize(attrs);
@@ -73,7 +74,7 @@ ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
       ValueColumn col;
       col.values.reserve(rows);
       for (size_t r = 0; r < rows; ++r) {
-        col.values.push_back(std::get<Value>(rel.row(r).cells[a]));
+        col.values.push_back(std::get<Value>(tuples[r].cells[a]));
       }
       store.value_columns_.push_back(std::move(col));
       continue;
@@ -84,7 +85,7 @@ ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
       BoxedColumn col;
       col.sets.reserve(rows);
       for (size_t r = 0; r < rows; ++r) {
-        col.sets.push_back(std::get<EvidenceSet>(rel.row(r).cells[a]));
+        col.sets.push_back(std::get<EvidenceSet>(tuples[r].cells[a]));
       }
       store.boxed_columns_.push_back(std::move(col));
       continue;
@@ -97,7 +98,7 @@ ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
     size_t total_focals = 0;
     for (size_t r = 0; r < rows; ++r) {
       total_focals +=
-          std::get<EvidenceSet>(rel.row(r).cells[a]).mass().FocalCount();
+          std::get<EvidenceSet>(tuples[r].cells[a]).mass().FocalCount();
     }
     // Spans are addressed with 32-bit offsets; a column with 2^32 focal
     // elements (> 64 GiB packed) exhausts memory long before this, so
@@ -109,7 +110,7 @@ ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
     col.offsets.push_back(0);
     for (size_t r = 0; r < rows; ++r) {
       const MassFunction& mass =
-          std::get<EvidenceSet>(rel.row(r).cells[a]).mass();
+          std::get<EvidenceSet>(tuples[r].cells[a]).mass();
       for (const auto& [set, m] : mass.focals()) {
         col.words.push_back(set.InlineWord());
         col.masses.push_back(m);
@@ -122,8 +123,8 @@ ColumnStore ColumnStore::FromRelation(const ExtendedRelation& rel) {
   store.sn_.reserve(rows);
   store.sp_.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
-    store.sn_.push_back(rel.row(r).membership.sn);
-    store.sp_.push_back(rel.row(r).membership.sp);
+    store.sn_.push_back(tuples[r].membership.sn);
+    store.sp_.push_back(tuples[r].membership.sp);
   }
   return store;
 }
@@ -175,7 +176,6 @@ ColumnStore ColumnStore::WithSchema(const ColumnStore& src, SchemaPtr schema,
   // (the verifier reads the store it is handed, and the relabeled
   // columns are bit-identical).
   store.statistics_ = src.statistics_;
-  store.statistics_built_ = src.statistics_built_;
   store.partitions_ = src.partitions_;
   store.deferred_ = src.deferred_;
   return store;
@@ -256,42 +256,43 @@ void ColumnStore::EncodeKeyOfRow(size_t row, std::string* out) const {
 }
 
 const ColumnStore::EncodedKeys& ColumnStore::encoded_keys() const {
-  if (encoded_keys_built_) return encoded_keys_;
-  const size_t n = rows();
-  encoded_keys_.arena.clear();
-  encoded_keys_.offsets.clear();
-  encoded_keys_.offsets.reserve(n + 1);
-  encoded_keys_.offsets.push_back(0);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t a : schema_->key_indices()) {
-      value_columns_[slots_[a]].values[r].AppendCanonicalKey(
-          &encoded_keys_.arena);
+  return encoded_keys_.GetOrBuild([this] {
+    const size_t n = rows();
+    EncodedKeys keys;
+    keys.offsets.reserve(n + 1);
+    keys.offsets.push_back(0);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t a : schema_->key_indices()) {
+        value_columns_[slots_[a]].values[r].AppendCanonicalKey(&keys.arena);
+      }
+      // The arena is offset-addressed with 32 bits, like the key index's;
+      // a 4 GiB key arena exhausts memory long before this, so the limit
+      // fails loudly instead of wrapping offsets silently.
+      if (keys.arena.size() > std::numeric_limits<uint32_t>::max()) {
+        std::abort();
+      }
+      keys.offsets.push_back(static_cast<uint32_t>(keys.arena.size()));
     }
-    // The arena is offset-addressed with 32 bits, like the key index's;
-    // a 4 GiB key arena exhausts memory long before this, so the limit
-    // fails loudly instead of wrapping offsets silently.
-    if (encoded_keys_.arena.size() > std::numeric_limits<uint32_t>::max()) {
-      std::abort();
-    }
-    encoded_keys_.offsets.push_back(
-        static_cast<uint32_t>(encoded_keys_.arena.size()));
-  }
-  encoded_keys_built_ = true;
-  return encoded_keys_;
+    return keys;
+  });
 }
 
 const TableStatistics& ColumnStore::statistics() const {
-  if (statistics_built_) return statistics_;
+  return statistics_.GetOrBuild([this] { return ComputeStatistics(); });
+}
+
+TableStatistics ColumnStore::ComputeStatistics() const {
+  TableStatistics stats;
   const size_t n = rows();
   const size_t attrs = schema_ != nullptr ? schema_->size() : 0;
-  statistics_.row_count = n;
-  statistics_.attributes.assign(attrs, {});
+  stats.row_count = n;
+  stats.attributes.assign(attrs, {});
 
   const bool sole_key =
       schema_ != nullptr && schema_->key_indices().size() == 1;
   std::string encoded;
   for (size_t a = 0; a < attrs; ++a) {
-    TableStatistics::Attribute& stat = statistics_.attributes[a];
+    TableStatistics::Attribute& stat = stats.attributes[a];
     if (kinds_[a] != ColumnKind::kValue) continue;  // uncertain: unknown
     if (sole_key && a == schema_->key_indices()[0]) {
       // A single-attribute key is unique by the relation invariant.
@@ -335,35 +336,36 @@ const TableStatistics& ColumnStore::statistics() const {
     stat.exact = false;
   }
 
-  statistics_.sn_histogram.assign(TableStatistics::kHistogramBins, 0);
-  statistics_.sp_histogram.assign(TableStatistics::kHistogramBins, 0);
+  stats.sn_histogram.assign(TableStatistics::kHistogramBins, 0);
+  stats.sp_histogram.assign(TableStatistics::kHistogramBins, 0);
   for (size_t r = 0; r < n; ++r) {
-    ++statistics_.sn_histogram[TableStatistics::BinOf(sn_[r])];
-    ++statistics_.sp_histogram[TableStatistics::BinOf(sp_[r])];
+    ++stats.sn_histogram[TableStatistics::BinOf(sn_[r])];
+    ++stats.sp_histogram[TableStatistics::BinOf(sp_[r])];
   }
-  statistics_built_ = true;
-  return statistics_;
+  return stats;
 }
 
 ExtendedTuple ColumnStore::MaterializeRow(size_t row) const {
   ExtendedTuple t;
   const size_t attrs = schema_ != nullptr ? schema_->size() : 0;
-  t.cells.reserve(attrs);
-  for (size_t a = 0; a < attrs; ++a) {
-    switch (kinds_[a]) {
-      case ColumnKind::kValue:
-        t.cells.emplace_back(value_column(a).values[row]);
-        break;
-      case ColumnKind::kEvidence:
-        t.cells.emplace_back(MaterializeEvidence(a, row));
-        break;
-      case ColumnKind::kBoxed:
-        t.cells.emplace_back(boxed_column(a).sets[row]);
-        break;
-    }
-  }
+  t.cells.resize(attrs);
+  for (size_t a = 0; a < attrs; ++a) ReadCell(a, row, &t.cells[a]);
   t.membership = membership(row);
   return t;
+}
+
+void ColumnStore::ReadCell(size_t attr, size_t row, Cell* cell) const {
+  switch (kinds_[attr]) {
+    case ColumnKind::kValue:
+      *cell = value_column(attr).values[row];
+      return;
+    case ColumnKind::kEvidence:
+      *cell = MaterializeEvidence(attr, row);
+      return;
+    case ColumnKind::kBoxed:
+      *cell = boxed_column(attr).sets[row];
+      return;
+  }
 }
 
 EvidenceSet ColumnStore::MaterializeEvidence(size_t attr, size_t row) const {
@@ -377,16 +379,6 @@ EvidenceSet ColumnStore::MaterializeEvidence(size_t attr, size_t row) const {
                                col.masses.data() + begin,
                                col.offsets[row + 1] - begin);
   return EvidenceSet::MakeTrusted(col.domain, std::move(mass));
-}
-
-Result<ExtendedRelation> ColumnStore::ToRelation() const {
-  ExtendedRelation out(name_, schema_);
-  const size_t n = rows();
-  out.Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    EVIDENT_RETURN_NOT_OK(out.InsertTrusted(MaterializeRow(r)));
-  }
-  return out;
 }
 
 }  // namespace evident

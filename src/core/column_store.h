@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "core/column_span.h"
 #include "core/extended_relation.h"
+#include "core/lazy_value.h"
 #include "core/schema.h"
 #include "core/support_pair.h"
 #include "ds/combination.h"
@@ -61,8 +62,8 @@ struct TableStatistics {
 /// domains stay boxed as EvidenceSet objects (rare; the row kernels
 /// handle them).
 ///
-/// The conversion is lossless: FromRelation walks the rows once,
-/// ToRelation rebuilds a relation whose tuples equal the originals.
+/// The conversion is lossless: FromRows walks the rows once, and
+/// MaterializeRow decodes tuples equal to the originals.
 class ColumnStore {
  public:
   /// One packed uncertain attribute. Row r's focal elements occupy
@@ -116,10 +117,11 @@ class ColumnStore {
 
   ColumnStore() = default;
 
-  /// \brief Packs `rel` column-major. O(total cells + total focal
+  /// \brief Packs a row store column-major. O(total cells + total focal
   /// elements); performs no validation (the relation's invariants hold
   /// by construction).
-  static ColumnStore FromRelation(const ExtendedRelation& rel);
+  static ColumnStore FromRows(SchemaPtr schema, std::string name,
+                              const std::vector<ExtendedTuple>& rows);
 
   /// \brief An empty store with `schema`'s column layout (kinds and
   /// slots prepared, zero rows) — the starting point for operators that
@@ -139,7 +141,7 @@ class ColumnStore {
   /// \brief Splices a projected row subset of `src` into a fresh store:
   /// output attribute `a` (of `schema`, whose kinds and domains must
   /// match) takes the cells of `src` attribute `attr_indices[a]` at the
-  /// rows listed in `keep` (ascending); `memberships` is parallel to
+  /// rows listed in `keep`, in that order; `memberships` is parallel to
   /// `keep` and becomes the membership column. Value columns are copied
   /// element-wise, packed focal spans are repacked with rebased offsets,
   /// boxed sets are shared. The row-subset primitive of the columnar
@@ -152,13 +154,13 @@ class ColumnStore {
                                 const std::vector<uint32_t>& keep,
                                 const std::vector<SupportPair>& memberships);
 
-  /// \brief Rebuilds the row representation. The result's tuples are
-  /// bit-identical to the relation the store was packed from.
-  Result<ExtendedRelation> ToRelation() const;
-
   /// \brief Materializes one row as a tuple (cells in schema order plus
   /// membership), bit-identical to the row the store was packed from.
   ExtendedTuple MaterializeRow(size_t row) const;
+
+  /// \brief Copies attribute `attr` of row `row` into `*cell`. When
+  /// `*cell` already holds the same kind of cell, its storage is reused.
+  void ReadCell(size_t attr, size_t row, Cell* cell) const;
 
   /// \brief Writes the canonical encoding of row `row`'s key cells to
   /// `out` (cleared first) — same bytes as
@@ -181,9 +183,8 @@ class ColumnStore {
   /// use and cached alongside the column image. Catalog relations share
   /// their column image across queries, so repeated probe passes (the
   /// union/merge operators, the lazily-built key index) encode each scan
-  /// key once per relation instead of once per query. Like the other
-  /// lazy state, the first call is not thread-safe — operators call it
-  /// on the calling thread before sharding work.
+  /// key once per relation instead of once per query. Built once, safe
+  /// to call from any thread (LazyValue).
   const EncodedKeys& encoded_keys() const;
 
   /// \brief The statistics of this store, built lazily on first use and
@@ -193,16 +194,14 @@ class ColumnStore {
   /// by the uniqueness invariant; other definite columns are counted
   /// exactly up to kStatisticsExactRows rows and estimated from a
   /// deterministic stride sample beyond that; uncertain columns report
-  /// distinct = 0 (unknown). Like encoded_keys(), the first call is not
-  /// thread-safe.
+  /// distinct = 0 (unknown). Built once, safe to call from any thread.
   const TableStatistics& statistics() const;
 
   /// \brief Installs precomputed statistics (the column-image loader's
   /// path, restoring the persisted footer so a loaded catalog plans
   /// without re-profiling). Marks the cache built.
   void AdoptStatistics(TableStatistics stats) {
-    statistics_ = std::move(stats);
-    statistics_built_ = true;
+    statistics_.Set(std::make_shared<TableStatistics>(std::move(stats)));
   }
 
   /// Rows at or below which non-key distinct counts are exact.
@@ -289,9 +288,8 @@ class ColumnStore {
   /// Installs a precomputed encoded-key arena (the persisted key trailer
   /// of an EVCIMG03 image) and marks the lazy cache built.
   void AdoptEncodedKeys(std::string arena, std::vector<uint32_t> offsets) {
-    encoded_keys_.arena = std::move(arena);
-    encoded_keys_.offsets = std::move(offsets);
-    encoded_keys_built_ = true;
+    encoded_keys_.Set(std::make_shared<EncodedKeys>(
+        EncodedKeys{std::move(arena), std::move(offsets)}));
   }
   /// Installs the membership arrays wholesale (possibly borrowed from a
   /// mapped image); both must have the same length as every column.
@@ -342,6 +340,8 @@ class ColumnStore {
     Status failure;
   };
 
+  TableStatistics ComputeStatistics() const;
+
   SchemaPtr schema_;
   std::string name_;
   std::vector<ColumnKind> kinds_;   // per schema attribute
@@ -356,12 +356,9 @@ class ColumnStore {
   // data a copy carries is bit-identical, so a verification performed
   // through any copy stands for all of them). Null = fully verified.
   std::shared_ptr<DeferredVerify> deferred_;
-  // Lazily-built encoded-key cache (see encoded_keys()).
-  mutable EncodedKeys encoded_keys_;
-  mutable bool encoded_keys_built_ = false;
-  // Lazily-built statistics cache (see statistics()).
-  mutable TableStatistics statistics_;
-  mutable bool statistics_built_ = false;
+  // Lazily-built caches (see encoded_keys() and statistics()).
+  LazyValue<EncodedKeys> encoded_keys_;
+  LazyValue<TableStatistics> statistics_;
 };
 
 /// \brief The scan-side pruning primitive shared by the columnar

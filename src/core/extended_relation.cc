@@ -38,57 +38,64 @@ Status MakeDuplicateKeyError(const KeyVector& key,
 
 ExtendedRelation ExtendedRelation::AdoptColumns(ColumnStore store) {
   ExtendedRelation rel(store.name(), store.schema());
-  rel.columns_ = std::make_shared<const ColumnStore>(std::move(store));
-  rel.rows_built_ = false;
-  rel.index_built_ = false;
+  rel.columns_.Set(std::make_shared<ColumnStore>(std::move(store)));
+  rel.columnar_ = true;
   return rel;
 }
 
 ExtendedRelation ExtendedRelation::AdoptColumnsWithIndex(
     ColumnStore store, EncodedKeyIndex index) {
   ExtendedRelation rel = AdoptColumns(std::move(store));
-  rel.key_index_ = std::move(index);
-  rel.index_built_ = true;
+  rel.key_index_.Set(std::make_shared<EncodedKeyIndex>(std::move(index)));
   return rel;
 }
 
 size_t ExtendedRelation::size() const {
-  return rows_built_ ? rows_.size() : columns_->rows();
+  return columnar_ ? columns_.get()->rows() : rows_.size();
 }
 
-void ExtendedRelation::MaterializeRows() const {
-  if (rows_built_) return;
-  ++rows_materialized_;
-  const ColumnStore& store = *columns_;
-  rows_.clear();
-  rows_.reserve(store.rows());
-  for (size_t r = 0; r < store.rows(); ++r) {
-    rows_.push_back(store.MaterializeRow(r));
-  }
-  rows_built_ = true;
+ExtendedTuple ExtendedRelation::row(size_t i) const {
+  return columnar_ ? columns_.get()->MaterializeRow(i) : rows_[i];
 }
 
-void ExtendedRelation::EnsureKeyIndex() const {
-  if (index_built_) return;
-  key_index_.Clear();
-  const ColumnStore& store = *columns_;
-  key_index_.Reserve(store.rows());
-  // The store's cached encoded-key arena survives across queries for
-  // catalog relations (their column image is shared), so the index build
-  // re-encodes nothing on repeat probes.
-  const ColumnStore::EncodedKeys& keys = store.encoded_keys();
-  for (size_t r = 0; r < store.rows(); ++r) {
-    // Adopted stores carry unique keys by construction (see
-    // AdoptColumns); a duplicate here would be an operator bug, and
-    // first-wins matches the insert-time index's behaviour.
-    key_index_.Insert(keys.key(r));
-  }
-  index_built_ = true;
+void ExtendedRelation::Reserve(size_t n) {
+  PrepareForInsert();
+  rows_.reserve(n);
+  key_index_.Mutable().Reserve(n);
+}
+
+const EncodedKeyIndex& ExtendedRelation::key_index() const {
+  return key_index_.GetOrBuild([this] {
+    EncodedKeyIndex index;
+    std::string encoded;
+    const size_t n = size();
+    index.Reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (columnar_) {
+        // The store's cached encoded-key arena survives across queries
+        // for catalog relations (their column image is shared), so the
+        // index build re-encodes nothing.
+        index.Insert(columns_.get()->encoded_keys().key(r));
+      } else {
+        EncodeKeyOf(rows_[r], &encoded);
+        index.Insert(encoded);
+      }
+    }
+    return index;
+  });
 }
 
 void ExtendedRelation::PrepareForInsert() {
-  MaterializeRows();
-  EnsureKeyIndex();
+  if (columnar_) {
+    (void)key_index();
+    const ColumnStore& store = *columns_.get();
+    rows_.reserve(store.rows());
+    for (size_t r = 0; r < store.rows(); ++r) {
+      rows_.push_back(store.MaterializeRow(r));
+    }
+    columnar_ = false;
+  }
+  columns_.Reset();
 }
 
 Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
@@ -173,11 +180,10 @@ Status ExtendedRelation::InsertTrusted(ExtendedTuple tuple) {
   PrepareForInsert();
   std::string& encoded = EncodeScratch();
   EncodeKeyOf(tuple, &encoded);
-  if (key_index_.Insert(encoded) != EncodedKeyIndex::kNoRow) {
+  if (key_index_.Mutable().Insert(encoded) != EncodedKeyIndex::kNoRow) {
     return MakeDuplicateKeyError(KeyOf(tuple), name_);
   }
   rows_.push_back(std::move(tuple));
-  columns_.reset();
   return Status::OK();
 }
 
@@ -201,13 +207,7 @@ void ExtendedRelation::EncodeKeyOf(const ExtendedTuple& tuple,
 Result<size_t> ExtendedRelation::FindByKey(const KeyVector& key) const {
   std::string& encoded = EncodeScratch();
   EncodeKeyVector(key, &encoded);
-  return FindByEncodedKey(encoded);
-}
-
-Result<size_t> ExtendedRelation::FindByEncodedKey(
-    std::string_view key) const {
-  EnsureKeyIndex();
-  const uint32_t row = key_index_.Find(key);
+  const uint32_t row = key_index().Find(encoded);
   if (row == EncodedKeyIndex::kNoRow) {
     return Status::NotFound("no tuple with the given key in relation '" +
                             name_ + "'");
@@ -218,20 +218,18 @@ Result<size_t> ExtendedRelation::FindByEncodedKey(
 bool ExtendedRelation::ContainsKey(const KeyVector& key) const {
   std::string& encoded = EncodeScratch();
   EncodeKeyVector(key, &encoded);
-  return ContainsEncodedKey(encoded);
+  return key_index().Find(encoded) != EncodedKeyIndex::kNoRow;
 }
 
 const ColumnStore& ExtendedRelation::columns() const {
-  if (columns_ == nullptr) {
-    columns_ = std::make_shared<const ColumnStore>(
-        ColumnStore::FromRelation(*this));
-  }
-  return *columns_;
+  return columns_.GetOrBuild(
+      [this] { return ColumnStore::FromRows(schema_, name_, rows_); });
 }
 
 Status ExtendedRelation::ValidateInvariants() const {
-  for (const ExtendedTuple& t : rows()) {
-    EVIDENT_RETURN_NOT_OK(ValidateTuple(t, /*require_positive_sn=*/true));
+  for (size_t i = 0; i < size(); ++i) {
+    EVIDENT_RETURN_NOT_OK(
+        ValidateTuple(row(i), /*require_positive_sn=*/true));
   }
   return Status::OK();
 }
@@ -243,10 +241,11 @@ bool ExtendedRelation::ApproxEquals(const ExtendedRelation& other,
   }
   if (!schema_->Equals(*other.schema_)) return false;
   if (size() != other.size()) return false;
-  for (const ExtendedTuple& t : rows()) {
+  for (size_t i = 0; i < size(); ++i) {
+    const ExtendedTuple t = row(i);
     auto found = other.FindByKey(KeyOf(t));
     if (!found.ok()) return false;
-    const ExtendedTuple& o = other.row(*found);
+    const ExtendedTuple o = other.row(*found);
     if (!t.membership.ApproxEquals(o.membership, eps)) return false;
     for (size_t i = 0; i < t.cells.size(); ++i) {
       if (!CellApproxEquals(t.cells[i], o.cells[i], eps)) return false;
@@ -259,8 +258,8 @@ std::string ExtendedRelation::ToString(int mass_decimals) const {
   std::ostringstream os;
   os << name_ << " " << (schema_ ? schema_->ToString() : "(null schema)")
      << " [" << size() << " tuples]\n";
-  for (const ExtendedTuple& t : rows()) {
-    os << "  " << t.ToString(mass_decimals) << "\n";
+  for (size_t i = 0; i < size(); ++i) {
+    os << "  " << row(i).ToString(mass_decimals) << "\n";
   }
   return os.str();
 }

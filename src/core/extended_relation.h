@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "core/key_index.h"
+#include "core/lazy_value.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
@@ -18,10 +19,9 @@ namespace evident {
 class ColumnStore;
 
 /// \brief The duplicate-key rejection every insert path reports —
-/// shared by ExtendedRelation::InsertTrusted and the columnar operators
-/// that replay the duplicate check over encoded keys (Project's
-/// uniqueness pass, MergeTuples' rekey pass), whose messages must stay
-/// byte-identical to the row path's.
+/// shared by ExtendedRelation::InsertTrusted and the operators that
+/// replay the duplicate check over encoded keys (Project's uniqueness
+/// pass, MergeTuples' rekey pass), so the messages are byte-identical.
 Status MakeDuplicateKeyError(const KeyVector& key,
                              const std::string& relation_name);
 
@@ -46,19 +46,19 @@ struct EncodedKeyHash {
 /// tests and the boundedness property checker can materialize complement
 /// relations whose hypothetical tuples have sn = 0.
 ///
-/// A relation lives in one of two storage modes. Row mode is the
-/// classic tuple store: inserts append rows and maintain the key index
-/// eagerly (duplicate keys are rejected at insert time). Columnar mode
-/// holds only a ColumnStore image — the columnar operators build their
-/// outputs this way (AdoptColumns) so a result that is only ever
-/// scanned column-at-a-time, or fed into the next columnar operator,
-/// never pays for materializing row objects or an index it does not
-/// probe. The row image and the key index are each materialized lazily
-/// on first use and the relation behaves identically from then on; a
-/// row-mode relation symmetrically caches its column image via
-/// columns(). Lazy materialization is not thread-safe — operators touch
-/// columns()/EnsureKeyIndex()/rows() once on the calling thread before
-/// sharding work.
+/// A relation holds either rows or a column image. Insert-built
+/// relations (fixtures, loaders of the text format, the integration
+/// pipeline) keep a row store with an eagerly maintained key index. The
+/// relational operators build their outputs as a ColumnStore image
+/// (AdoptColumns) and execute over column images only. row(i) is an
+/// inspection view: on a columnar relation it decodes one tuple and
+/// caches nothing. The remaining lazy state — a row store's column
+/// image, a column image's key index — is built at most once through
+/// LazyValue, so every const member is safe to call from any number of
+/// threads (catalog relations, pinned snapshots and returned results are
+/// read concurrently). Insert on a columnar relation converts it to a
+/// row store in place; like any non-const call it needs exclusive
+/// access.
 class ExtendedRelation {
  public:
   ExtendedRelation() = default;
@@ -85,22 +85,13 @@ class ExtendedRelation {
 
   size_t size() const;
   bool empty() const { return size() == 0; }
-  const std::vector<ExtendedTuple>& rows() const {
-    MaterializeRows();
-    return rows_;
-  }
-  const ExtendedTuple& row(size_t i) const {
-    MaterializeRows();
-    return rows_[i];
-  }
+  /// \brief Tuple `i` by value: a copy from the row store, or decoded
+  /// from the column image (nothing is cached). Loops over many rows
+  /// should read columns() instead.
+  ExtendedTuple row(size_t i) const;
 
-  /// \brief Pre-sizes the row store and key index for `n` tuples; used by
-  /// the relational operators, whose output cardinality is known (or
-  /// bounded) up front.
-  void Reserve(size_t n) {
-    rows_.reserve(n);
-    key_index_.Reserve(n);
-  }
+  /// \brief Pre-sizes the row store and key index for `n` inserts.
+  void Reserve(size_t n);
 
   /// \brief Validates the tuple against the schema and CWA_ER (sn > 0)
   /// and appends it. Fails with AlreadyExists on a duplicate key.
@@ -113,60 +104,37 @@ class ExtendedRelation {
   /// \brief Appends a tuple already known to satisfy this relation's
   /// schema — cells taken (or combined) from relations validated against
   /// a union-compatible schema. Skips per-cell validation entirely; the
-  /// duplicate-key check and key index are still maintained. This is the
-  /// row-mode relational insert path: per-tuple revalidation of
-  /// unchanged evidence sets dominated their cost.
+  /// duplicate-key check and key index are still maintained. For
+  /// builders whose cells are valid by construction: per-tuple
+  /// revalidation of unchanged evidence sets dominates their cost.
   Status InsertTrusted(ExtendedTuple tuple);
 
   /// \brief The key of `tuple` under this relation's schema.
   KeyVector KeyOf(const ExtendedTuple& tuple) const;
 
   /// \brief Writes the canonical byte encoding of `tuple`'s key cells to
-  /// `out` (cleared first) — the index's storage form. Probing with the
-  /// encoded form through FindByEncodedKey avoids allocating a KeyVector
-  /// (and its Value copies) per lookup.
+  /// `out` (cleared first) — the index's storage form.
   void EncodeKeyOf(const ExtendedTuple& tuple, std::string* out) const;
 
   /// \brief Index of the row with key `key`, or NotFound.
   Result<size_t> FindByKey(const KeyVector& key) const;
   bool ContainsKey(const KeyVector& key) const;
 
-  /// \brief FindByKey over an already-encoded key (see EncodeKeyOf).
-  Result<size_t> FindByEncodedKey(std::string_view key) const;
-  bool ContainsEncodedKey(std::string_view key) const {
-    return ProbeEncodedKey(key) != EncodedKeyIndex::kNoRow;
-  }
-
-  /// \brief The allocation-free probe form: the row holding `key`, or
-  /// EncodedKeyIndex::kNoRow — no Status is built on a miss. The hot
-  /// operator probe loops use this.
-  uint32_t ProbeEncodedKey(std::string_view key) const {
-    EnsureKeyIndex();
-    return key_index_.Find(key);
-  }
-
-  /// \brief Builds the key index if this columnar-mode relation has not
-  /// been probed yet (no-op in row mode). Operators call it before
-  /// sharding probe loops across threads.
-  void EnsureKeyIndex() const;
+  /// \brief The key index over encoded keys (see EncodeKeyOf) — the
+  /// allocation-free probe the operators use: Find returns the row or
+  /// EncodedKeyIndex::kNoRow. Maintained by inserts on a row store,
+  /// built on first use (once, thread-safely) over a column image.
+  const EncodedKeyIndex& key_index() const;
 
   /// \brief The column-major image of this relation: the native store in
-  /// columnar mode, a lazily-built cached image in row mode (invalidated
-  /// by inserts). See the class comment for thread-safety.
+  /// columnar mode, built on first use (once, thread-safely) from a row
+  /// store and dropped by its next insert.
   const ColumnStore& columns() const;
 
-  /// \brief True while this relation holds only its column image (rows
-  /// not yet materialized). Storage decides how it is serialized: the
-  /// column-image file format persists a columnar relation without ever
-  /// building row objects.
-  bool columnar_mode() const { return !rows_built_; }
-
-  /// \brief How many times this relation converted its column image to
-  /// row objects (0 or 1 per instance; copies inherit the count).
-  /// Observability for tests asserting that columnar pipelines — e.g.
-  /// save → load → scan through the column-image format — never
-  /// materialize rows as a side effect.
-  uint64_t rows_materialized() const { return rows_materialized_; }
+  /// \brief True when this relation holds a column image rather than a
+  /// row store. Storage decides how it is serialized: the column-image
+  /// file format persists a columnar relation as is.
+  bool columnar_mode() const { return columnar_; }
 
   /// \brief Checks every stored tuple against the schema and the CWA_ER
   /// invariant; used by property tests and after deserialization.
@@ -185,22 +153,17 @@ class ExtendedRelation {
       const;
   Status InsertImpl(ExtendedTuple tuple, bool require_positive_sn,
                     bool validate);
-  /// Row-mode entry for inserts: materializes rows and the index when
-  /// the relation is still columnar, drops the stale column cache.
+  /// Row-mode entry for inserts: converts a columnar relation to a row
+  /// store (keeping its key index) and drops the stale column image.
   void PrepareForInsert();
-  void MaterializeRows() const;
 
   std::string name_;
   SchemaPtr schema_;
-  mutable std::vector<ExtendedTuple> rows_;
-  mutable EncodedKeyIndex key_index_;
-  // Column image: the native store in columnar mode, a cache in row mode
-  // (shared so copies of an unchanged relation reuse it; reset by any
-  // insert — copy-on-write at relation level).
-  mutable std::shared_ptr<const ColumnStore> columns_;
-  mutable bool rows_built_ = true;
-  mutable bool index_built_ = true;
-  mutable uint64_t rows_materialized_ = 0;
+  std::vector<ExtendedTuple> rows_;  // row store (empty when columnar)
+  // Column image: the native store in columnar mode, a cache in row mode.
+  LazyValue<ColumnStore> columns_;
+  LazyValue<EncodedKeyIndex> key_index_;
+  bool columnar_ = false;
 };
 
 }  // namespace evident

@@ -12,20 +12,6 @@
 
 namespace evident {
 
-/// \brief Selects the storage mode the relational operators execute in.
-///
-/// Columnar execution (the default) runs the hot operators —
-/// Select's predicate evaluation, Union/MergeTuples' per-key combination
-/// pass, and the hash-join probe's residual filtering — column-at-a-time
-/// over each relation's packed ColumnStore image and the batch
-/// combination kernel. Row execution is the reference interpretation,
-/// tuple-at-a-time over the row store. Both modes produce bit-identical
-/// relations and identical first-error behaviour (enforced by
-/// kernel_differential_test); the toggle exists for that differential
-/// and for embedders that want to avoid the column image's memory.
-void SetColumnarExecution(bool enabled);
-bool ColumnarExecutionEnabled();
-
 /// \brief Extended selection σ̃^Q_P (§3.1).
 ///
 /// For each tuple r: computes the predicate support F_SS(r, P), revises
@@ -34,7 +20,8 @@ bool ColumnarExecutionEnabled();
 /// values are retained (the paper's departure from DeMichiel). Tuples
 /// whose revised sn is 0 are always dropped, keeping the result a valid
 /// extended relation under CWA_ER (the paper's consistency requirement on
-/// Q).
+/// Q). A predicate error is the first failing row's; an empty input
+/// evaluates nothing.
 Result<ExtendedRelation> Select(const ExtendedRelation& input,
                                 const PredicatePtr& predicate,
                                 const MembershipThreshold& threshold =
@@ -55,8 +42,8 @@ Result<ExtendedRelation> Select(const ExtendedRelation& input,
 /// multiply in their original order). The output keeps the input's
 /// *name* so product-schema qualification downstream is unchanged.
 /// Callers (the optimizer) only push conjuncts that bind completely, so
-/// evaluation cannot fail; a conjunct that does not bind falls back to
-/// the interpreted row path, preserving error behaviour.
+/// evaluation cannot fail; should a conjunct fail, the error is the
+/// first failing conjunct's at its first failing row.
 Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input, const std::vector<PredicatePtr>& conjuncts);
 
@@ -112,10 +99,10 @@ Result<ExtendedRelation> Union(const ExtendedRelation& left,
 /// paper*: like the extended union but keeping only entities present in
 /// both sources (inner merge). Useful when the integrator only trusts
 /// corroborated entities. Matched tuples are combined exactly as in
-/// Union; unmatched tuples are dropped. Under columnar execution the
-/// kept rows (exactly the union's merged pairs, known from the keys the
-/// union pass already encoded and probed) are spliced straight out of
-/// the union's column image — no re-encoding, no row materialization.
+/// Union; unmatched tuples are dropped. The kept rows (exactly the
+/// union's merged pairs, known from the keys the union pass already
+/// encoded and probed) are spliced straight out of the union's column
+/// image — no re-encoding.
 Result<ExtendedRelation> Intersect(const ExtendedRelation& left,
                                    const ExtendedRelation& right,
                                    const UnionOptions& options =
@@ -131,11 +118,9 @@ Result<ExtendedRelation> UnionAll(const std::vector<ExtendedRelation>& sources,
 
 /// \brief Extended projection π̃_Ã (§3.3). `attributes` must include every
 /// key attribute (the paper projects key + membership always); the
-/// implicit membership attribute is always carried. Under columnar
-/// execution the picked columns are spliced as whole column copies (no
-/// combination, no row materialization); the row path's insert-time
-/// duplicate-key guarantee is preserved by a uniqueness check over the
-/// encoded keys (which reuses the input's cached encoded-key arena when
+/// implicit membership attribute is always carried. The picked columns
+/// are spliced as whole column copies; key uniqueness is re-checked over
+/// the encoded keys (reusing the input's cached encoded-key arena when
 /// the projection keeps the key order).
 Result<ExtendedRelation> Project(const ExtendedRelation& input,
                                  const std::vector<std::string>& attributes);
@@ -160,9 +145,8 @@ Result<SchemaPtr> MakeProductSchema(const ExtendedRelation& left,
 /// \brief Extended cartesian product R ×̃ S (§3.4): concatenates tuple
 /// pairs and multiplies memberships via F_TM. Attribute name collisions
 /// are qualified as "<relation>.<attribute>"; the result's key is the
-/// union of both keys. Under columnar execution the output's column
-/// image is spliced directly from the operands' images (no row objects
-/// are built); the result is bit-identical to the row path.
+/// union of both keys. The output's column image is spliced directly
+/// from the operands' images, in left-major order.
 Result<ExtendedRelation> Product(const ExtendedRelation& left,
                                  const ExtendedRelation& right);
 
@@ -179,10 +163,10 @@ Result<ExtendedRelation> Product(const ExtendedRelation& left,
 /// and sn = 0 pairs are always dropped under CWA_ER, so the result is
 /// identical (bit-for-bit on masses and memberships) to the definition;
 /// predicates without equi-conjuncts fall back to Select-over-Product.
-/// Under columnar execution with a fully-bindable residual, the join
-/// probes the operands' column stores and splices the matched pairs'
-/// column slices straight into the output's column image — neither
-/// operand rows nor result rows are materialized.
+/// The join probes the operands' column stores and splices the matched
+/// pairs' column slices straight into the output's column image. The
+/// residual is evaluated only on key-matching pairs, so its first error
+/// is the first failing matched pair's, in probe order.
 /// Relations are sets: the result's *row order* is implementation-
 /// defined (the hash path emits rows grouped by probe-side tuple, and
 /// the probe side is whichever operand is larger), deterministic for
@@ -223,9 +207,8 @@ struct FusedJoinProbe {
 /// exactly this with a fresh schema. When `fused_probe` is non-null the
 /// probe-side operand (the side opposite `build_side`, which must not be
 /// kAuto) is prefiltered in the probe loop itself (see FusedJoinProbe);
-/// execution routes that cannot fuse (row mode, interpreted residuals,
-/// no equi-conjunct) materialize the prefilter first and behave
-/// identically.
+/// a join without an equi-conjunct materializes the prefilter first and
+/// behaves identically.
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,
@@ -249,9 +232,10 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
 /// with memberships folded left-to-right via F_TM, then one extended
 /// selection with the full predicate — and is bit-identical to that
 /// definition for *any* `join_order` (a permutation of 0..n-1; the
-/// identity when empty). Under columnar execution with a fully-bindable
-/// predicate, the executor enumerates the combinations surviving the
-/// predicate's definite equi edges (AnalyzeMultiJoinEdges) by pairwise
+/// identity when empty). The executor enumerates the combinations
+/// surviving the predicate's definite equi edges (AnalyzeMultiJoinEdges;
+/// none when the predicate does not bind, so an interpreted conjunct
+/// sees the full product and reports its first error) by pairwise
 /// hash joins in `join_order` — building a table on each incoming
 /// operand and probing with the current match set, cross-stepping when
 /// no edge connects — then restores left-major order, splices the
@@ -259,8 +243,7 @@ Result<SchemaPtr> MakeMultiwayProductSchema(
 /// predicate. Since dropped combinations carry an exact (0,0) equi
 /// factor (always removed under CWA_ER) and kept ones re-evaluate the
 /// complete predicate, the order only decides intermediate sizes, never
-/// the result. Row mode and non-bindable predicates take the
-/// materialized reference path.
+/// the result.
 Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<const ExtendedRelation*>& operands,
     const SchemaPtr& product_schema, const PredicatePtr& predicate,
@@ -268,9 +251,8 @@ Result<ExtendedRelation> MultiwayJoinProduct(
     const std::vector<size_t>& join_order = {});
 
 /// \brief Renames one attribute; useful before Product/Union when names
-/// collide or differ across sources. Under columnar execution this is a
-/// schema-only change: the output adopts the operand's column image
-/// under the renamed schema without materializing any rows.
+/// collide or differ across sources. A schema-only change: the output
+/// adopts the operand's column image under the renamed schema.
 Result<ExtendedRelation> RenameAttribute(const ExtendedRelation& input,
                                          const std::string& from,
                                          const std::string& to);

@@ -6,11 +6,12 @@ namespace evident {
 
 Status CheckClosureProperty(const ExtendedRelation& relation) {
   for (size_t i = 0; i < relation.size(); ++i) {
-    if (!relation.row(i).membership.HasPositiveSupport()) {
+    const SupportPair membership = relation.row(i).membership;
+    if (!membership.HasPositiveSupport()) {
       return Status::OutOfRange(
           "closure property violated: tuple #" + std::to_string(i) +
           " of '" + relation.name() + "' has membership " +
-          relation.row(i).membership.ToString());
+          membership.ToString());
     }
   }
   return Status::OK();
@@ -67,15 +68,16 @@ Result<ExtendedRelation> UnionWithComplement(
   }
   ExtendedRelation out(relation.name() + " u " + complement.name(),
                        relation.schema());
-  for (const ExtendedTuple& t : relation.rows()) {
-    EVIDENT_RETURN_NOT_OK(out.InsertUnchecked(t));
+  for (size_t i = 0; i < relation.size(); ++i) {
+    EVIDENT_RETURN_NOT_OK(out.InsertUnchecked(relation.row(i)));
   }
-  for (const ExtendedTuple& t : complement.rows()) {
+  for (size_t i = 0; i < complement.size(); ++i) {
+    ExtendedTuple t = complement.row(i);
     if (relation.ContainsKey(complement.KeyOf(t))) {
       return Status::InvalidArgument(
           "complement sample shares a key with the relation");
     }
-    EVIDENT_RETURN_NOT_OK(out.InsertUnchecked(t));
+    EVIDENT_RETURN_NOT_OK(out.InsertUnchecked(std::move(t)));
   }
   return out;
 }
@@ -83,9 +85,10 @@ Result<ExtendedRelation> UnionWithComplement(
 Result<ExtendedRelation> PositiveSupportPart(
     const ExtendedRelation& relation) {
   ExtendedRelation out(relation.name() + "+", relation.schema());
-  for (const ExtendedTuple& t : relation.rows()) {
+  for (size_t i = 0; i < relation.size(); ++i) {
+    ExtendedTuple t = relation.row(i);
     if (t.membership.HasPositiveSupport()) {
-      EVIDENT_RETURN_NOT_OK(out.Insert(t));
+      EVIDENT_RETURN_NOT_OK(out.Insert(std::move(t)));
     }
   }
   return out;

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/str_util.h"
+#include "core/column_store.h"
 
 namespace evident {
 
@@ -16,11 +17,12 @@ Result<MatchingInfo> MatchByKey(const ExtendedRelation& left,
   }
   MatchingInfo info;
   std::unordered_set<size_t> matched_right;
+  const ColumnStore::EncodedKeys& left_keys = left.columns().encoded_keys();
   for (size_t i = 0; i < left.size(); ++i) {
-    auto found = right.FindByKey(left.KeyOf(left.row(i)));
-    if (found.ok()) {
-      info.matches.push_back(TupleMatch{i, *found, 1.0});
-      matched_right.insert(*found);
+    const uint32_t found = right.key_index().Find(left_keys.key(i));
+    if (found != EncodedKeyIndex::kNoRow) {
+      info.matches.push_back(TupleMatch{i, found, 1.0});
+      matched_right.insert(found);
     } else {
       info.unmatched_left.push_back(i);
     }
@@ -69,12 +71,14 @@ Result<MatchingInfo> MatchBySimilarity(const ExtendedRelation& left,
     double score;
   };
   std::vector<Candidate> candidates;
+  const ColumnStore& left_store = left.columns();
+  const ColumnStore& right_store = right.columns();
   for (size_t i = 0; i < left.size(); ++i) {
     for (size_t j = 0; j < right.size(); ++j) {
       double total = 0.0;
       for (const auto& [li, ri] : columns) {
-        const Value& lv = std::get<Value>(left.row(i).cells[li]);
-        const Value& rv = std::get<Value>(right.row(j).cells[ri]);
+        const Value& lv = left_store.value_column(li).values[i];
+        const Value& rv = right_store.value_column(ri).values[j];
         total += StringSimilarity(lv.ToString(), rv.ToString());
       }
       const double score = total / static_cast<double>(columns.size());

@@ -1,6 +1,7 @@
 #include "integration/tuple_merger.h"
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -15,17 +16,16 @@ namespace evident {
 
 namespace {
 
-/// The columnar rekey pass: instead of materializing every right tuple
-/// to rewrite its key cells and re-inserting it row by row, validate the
-/// matching over the operands' cached encoded-key arenas (same checks,
-/// same order, same messages as the row pass — including the insert-time
-/// duplicate-key check, replayed through an EncodedKeyIndex) and splice
-/// the rekeyed relation's column image directly: key columns take the
-/// left row's values for matched rows, every other column is copied from
-/// the right row's slice. No row objects exist before the union.
-Result<ExtendedRelation> RekeyRightColumnar(const ExtendedRelation& left,
-                                            const ExtendedRelation& right,
-                                            const MatchingInfo& matching) {
+/// The rekey pass: rewrites each matched right tuple's key to the left
+/// tuple's key. The matching is validated over the operands' cached
+/// encoded-key arenas — out-of-range rows, twice-assigned rows,
+/// key collisions between unmatched right and left tuples, uncovered
+/// rows, and the insert-time duplicate-key check replayed through an
+/// EncodedKeyIndex — and the rekeyed relation's column image is spliced
+/// from the right rows, with the left row's key cells for matched rows.
+Result<ExtendedRelation> RekeyRight(const ExtendedRelation& left,
+                                    const ExtendedRelation& right,
+                                    const MatchingInfo& matching) {
   const ColumnStore& lstore = left.columns();
   const ColumnStore& rstore = right.columns();
   const ColumnStore::EncodedKeys& lkeys = lstore.encoded_keys();
@@ -78,7 +78,7 @@ Result<ExtendedRelation> RekeyRightColumnar(const ExtendedRelation& left,
     }
     is_matched_right[j] = 1;
     const std::string_view key = rkeys.key(j);
-    if (left.ContainsEncodedKey(key) &&
+    if (left.key_index().Find(key) != EncodedKeyIndex::kNoRow &&
         matched_left_keys.count(key) == 0) {
       return Status::InvalidArgument(
           "unmatched right tuple shares key with a left tuple; matching "
@@ -100,46 +100,25 @@ Result<ExtendedRelation> RekeyRightColumnar(const ExtendedRelation& left,
     }
   }
 
-  const SchemaPtr& schema = right.schema();
-  ColumnStore out = ColumnStore::EmptyLike(schema, right.name());
-  out.ReserveRows(out_rows.size());
-  for (size_t a = 0; a < schema->size(); ++a) {
-    switch (rstore.kind(a)) {
-      case ColumnStore::ColumnKind::kValue: {
-        const bool is_key =
-            schema->attribute(a).kind == AttributeKind::kKey;
-        const std::vector<Value>& lvals =
-            is_key ? lstore.value_column(a).values
-                   : rstore.value_column(a).values;
-        const std::vector<Value>& rvals = rstore.value_column(a).values;
-        std::vector<Value>& dst = out.value_column_mut(a).values;
-        dst.reserve(out_rows.size());
-        for (const RekeyRow& row : out_rows) {
-          dst.push_back(is_key && row.rekeyed ? lvals[row.left_row]
-                                              : rvals[row.right_row]);
-        }
-        break;
-      }
-      case ColumnStore::ColumnKind::kEvidence: {
-        const ColumnStore::EvidenceColumn& src = rstore.evidence_column(a);
-        ColumnStore::EvidenceColumn& dst = out.evidence_column_mut(a);
-        dst.offsets.reserve(out_rows.size() + 1);
-        for (const RekeyRow& row : out_rows) {
-          dst.AppendRowFrom(src, row.right_row);
-        }
-        break;
-      }
-      case ColumnStore::ColumnKind::kBoxed: {
-        const std::vector<EvidenceSet>& src = rstore.boxed_column(a).sets;
-        std::vector<EvidenceSet>& dst = out.boxed_column_mut(a).sets;
-        dst.reserve(out_rows.size());
-        for (const RekeyRow& row : out_rows) dst.push_back(src[row.right_row]);
-        break;
-      }
-    }
-  }
+  // Splice the right rows in output order, then give the rekeyed rows
+  // their left partners' key cells.
+  std::vector<uint32_t> keep;
+  std::vector<SupportPair> memberships;
   for (const RekeyRow& row : out_rows) {
-    out.AppendMembership(rstore.membership(row.right_row));
+    keep.push_back(row.right_row);
+    memberships.push_back(rstore.membership(row.right_row));
+  }
+  std::vector<size_t> identity(right.schema()->size());
+  std::iota(identity.begin(), identity.end(), size_t{0});
+  ColumnStore out = ColumnStore::SpliceRows(rstore, right.schema(),
+                                            right.name(), identity, keep,
+                                            memberships);
+  for (size_t k : right.schema()->key_indices()) {
+    const std::vector<Value>& donors = lstore.value_column(k).values;
+    std::vector<Value>& keys = out.value_column_mut(k).values;
+    for (size_t i = 0; i < out_rows.size(); ++i) {
+      if (out_rows[i].rekeyed) keys[i] = donors[out_rows[i].left_row];
+    }
   }
   return ExtendedRelation::AdoptColumns(std::move(out));
 }
@@ -155,85 +134,10 @@ Result<ExtendedRelation> MergeTuples(const ExtendedRelation& left,
     return Status::Incompatible(
         "tuple merging requires union-compatible relations");
   }
-  if (ColumnarExecutionEnabled()) {
-    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation rekeyed,
-                             RekeyRightColumnar(left, right, matching));
-    // Both executors materialize the rekeyed right side (right.size()
-    // rows); charge it before the union so governed charges stay
-    // mode-invariant.
-    if (QueryContext* const ctx = CurrentQueryContext()) {
-      EVIDENT_RETURN_NOT_OK(
-          ctx->ChargeOutput(*right.schema(), rekeyed.size()));
-    }
-    return Union(left, rekeyed, options);
-  }
-  // Rewrite each matched right tuple's key to the left tuple's key, then
-  // reuse the extended union machinery (which matches by key, and runs
-  // the per-tuple combination pass on the parallel executor). This keeps
-  // one implementation of Dempster-based merging.
-  ExtendedRelation rekeyed(right.name(), right.schema());
-  rekeyed.Reserve(right.size());
-  const auto& key_indices = right.schema()->key_indices();
-  std::vector<uint8_t> is_matched_right(right.size(), 0);
-  // Matched left keys in the index's encoded form: probing and inserting
-  // reuse one buffer instead of materializing a KeyVector (with its
-  // Value copies) per match.
-  std::unordered_set<std::string, EncodedKeyHash, std::equal_to<>>
-      matched_left_keys;
-  matched_left_keys.reserve(matching.matches.size());
-  std::string encoded_key;
-  for (const TupleMatch& m : matching.matches) {
-    if (m.left_row >= left.size() || m.right_row >= right.size()) {
-      return Status::InvalidArgument("matching references rows out of range");
-    }
-    if (is_matched_right[m.right_row]) {
-      return Status::InvalidArgument(
-          "matching assigns right row " + std::to_string(m.right_row) +
-          " twice");
-    }
-    is_matched_right[m.right_row] = 1;
-    ExtendedTuple t = right.row(m.right_row);
-    const ExtendedTuple& l = left.row(m.left_row);
-    for (size_t k : key_indices) t.cells[k] = l.cells[k];
-    left.EncodeKeyOf(l, &encoded_key);
-    matched_left_keys.insert(encoded_key);
-    // Every cell of the rekeyed tuple comes from a row already validated
-    // against one of the two union-compatible (Equals, incl. domains)
-    // schemas, so the tuple is schema-valid by construction; the trusted
-    // insert still performs the duplicate-key check.
-    EVIDENT_RETURN_NOT_OK(rekeyed.InsertTrusted(std::move(t)));
-  }
-
-  for (size_t j : matching.unmatched_right) {
-    if (j >= right.size()) {
-      return Status::InvalidArgument("matching references rows out of range");
-    }
-    if (is_matched_right[j]) {
-      return Status::InvalidArgument(
-          "row " + std::to_string(j) + " is both matched and unmatched");
-    }
-    is_matched_right[j] = 1;
-    // An unmatched right tuple whose key collides with an (unmatched)
-    // left key would wrongly merge; the matching info is authoritative,
-    // so such a collision is an error the caller must resolve by
-    // renaming keys. Matched left keys were collected above, replacing
-    // the former rescan of the whole match list per unmatched row.
-    right.EncodeKeyOf(right.row(j), &encoded_key);
-    if (left.ContainsEncodedKey(encoded_key) &&
-        matched_left_keys.count(encoded_key) == 0) {
-      return Status::InvalidArgument(
-          "unmatched right tuple shares key with a left tuple; matching "
-          "info and keys disagree");
-    }
-    EVIDENT_RETURN_NOT_OK(rekeyed.InsertTrusted(right.row(j)));
-  }
-  for (size_t j = 0; j < right.size(); ++j) {
-    if (!is_matched_right[j]) {
-      return Status::InvalidArgument(
-          "matching info does not cover right row " + std::to_string(j));
-    }
-  }
-  // Mirror of the columnar branch's rekeyed-materialization charge.
+  // Rekey, then reuse the extended union machinery (which matches by
+  // key), keeping one implementation of Dempster-based merging.
+  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation rekeyed,
+                           RekeyRight(left, right, matching));
   if (QueryContext* const ctx = CurrentQueryContext()) {
     EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*right.schema(), rekeyed.size()));
   }

@@ -269,7 +269,7 @@ constexpr size_t kFusedMorselGrain = 256;
 /// join probe, the columnar select/prefilter) verify only the
 /// partitions they keep; every other consumer gets the full sweep here.
 /// Row-mode relations never have checks pending, and columns() is not
-/// consulted for them (it would materialize the image).
+/// consulted for them (it would build the image).
 Status EnsureScanVerified(const ExtendedRelation& rel) {
   if (!rel.columnar_mode()) return Status::OK();
   const ColumnStore& store = rel.columns();
@@ -289,8 +289,6 @@ Status EnsureScanVerified(const ExtendedRelation& rel) {
 /// final splice visits survivors in ascending row order exactly like
 /// each chain operator's keep list would.
 Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
-  // Touch the lazily-built column image on the calling thread before
-  // fanning out (its first build is not thread-safe).
   const ColumnStore& store = node.rel->columns();
   const size_t n = store.rows();
   std::vector<uint8_t> keep(n);
@@ -335,9 +333,14 @@ Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
   const size_t morsel_count = ParallelMorselCount(live, kFusedMorselGrain);
   std::vector<uint64_t> stage_survivors(
       query_ctx != nullptr ? morsel_count * stage_count : 0, 0);
+  // The optimizer fuses only stages that bind completely, so evaluation
+  // cannot fail; should one, the morsel stops and the first failing
+  // morsel's error is reported.
+  std::vector<Status> morsel_status(morsel_count);
   ParallelForMorsels(live, kFusedMorselGrain, [&](size_t morsel,
                                                   size_t compact_begin,
                                                   size_t compact_end) {
+    Status& status = morsel_status[morsel];
     // This morsel's absolute row slices; every row in them is unpruned.
     std::vector<std::pair<size_t, size_t>> slices;
     ForEachRunSlice(runs, compact_begin, compact_end,
@@ -382,8 +385,12 @@ Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
           // the morsel domain): evaluate each slice contiguously, so a
           // pruned partition's bytes are never touched.
           for (const auto& [slice_begin, slice_end] : slices) {
-            stage.bound.EvaluateColumns(store, slice_begin, slice_end,
-                                        supports.data());
+            Status evaluated = stage.bound.EvaluateColumns(
+                store, slice_begin, slice_end, supports.data());
+            if (!evaluated.ok()) {
+              status = std::move(evaluated);
+              return;
+            }
           }
         }
         for (const auto& [slice_begin, slice_end] : slices) {
@@ -402,7 +409,12 @@ Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
         size_t out = 0;
         for (uint32_t r : alive) {
           if (!stage.trivial) {
-            stage.bound.EvaluateColumns(store, r, r + 1, supports.data());
+            Status evaluated =
+                stage.bound.EvaluateColumns(store, r, r + 1, supports.data());
+            if (!evaluated.ok()) {
+              status = std::move(evaluated);
+              return;
+            }
           }
           apply(stage, r);
           if (keep[r]) alive[out++] = r;
@@ -419,6 +431,9 @@ Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
     // keep[] slots benignly zero — surface the sticky first error
     // instead of splicing a truncated result.
     if (query_ctx->failed()) return query_ctx->first_error();
+  }
+  for (const Status& status : morsel_status) EVIDENT_RETURN_NOT_OK(status);
+  if (query_ctx != nullptr) {
     // Replay the unfused chain's charge sequence bottom-up (node.left is
     // the topmost chain node): each fused-away filter stage charges its
     // survivors against that chain node's schema, each interleaved
@@ -540,8 +555,7 @@ class PlanExecutor {
         // first. The build side must be explicit (the optimizer assigns
         // one to every fully-bound join) so kAuto's run-time size
         // comparison never sees the unfiltered cardinality.
-        if (ColumnarExecutionEnabled() &&
-            node.build_side != JoinBuildSide::kAuto) {
+        if (node.build_side != JoinBuildSide::kAuto) {
           const bool probe_is_left = node.build_side == JoinBuildSide::kRight;
           const PlanNode* candidate =
               (probe_is_left ? node.left : node.right).get();
@@ -606,13 +620,8 @@ class PlanExecutor {
                                  Exec(*node.right));
         return MergeTuples(*l, *r, node.matching, node.options);
       }
-      case PlanNode::Op::kFused: {
-        // Row mode has no column image to fuse over: execute the
-        // original chain the node replaced (kept as its child), which
-        // is the reference interpretation the fused pass must match.
-        if (!ColumnarExecutionEnabled()) return ExecOwned(*node.left);
+      case PlanNode::Op::kFused:
         return ExecuteFusedPipeline(node);
-      }
       case PlanNode::Op::kMultiJoin: {
         std::vector<const ExtendedRelation*> rels;
         rels.reserve(node.operands.size());
@@ -651,15 +660,14 @@ Result<ExtendedRelation> ExecutePlan(const LogicalPlan& plan) {
   std::vector<size_t> order(projected.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (plan.order_by.field != OrderBy::Field::kNone) {
-    const bool by_sn = plan.order_by.field == OrderBy::Field::kSn;
+    const ColumnStore& store = projected.columns();
+    const ColumnSpan<double>& support =
+        plan.order_by.field == OrderBy::Field::kSn ? store.sn() : store.sp();
     const bool desc = plan.order_by.descending;
     std::stable_sort(order.begin(), order.end(),
                      [&](size_t a, size_t b) {
-                       const SupportPair& ma = projected.row(a).membership;
-                       const SupportPair& mb = projected.row(b).membership;
-                       const double xa = by_sn ? ma.sn : ma.sp;
-                       const double xb = by_sn ? mb.sn : mb.sp;
-                       return desc ? xa > xb : xa < xb;
+                       return desc ? support[a] > support[b]
+                                   : support[a] < support[b];
                      });
   }
   const size_t keep = plan.limit == 0

@@ -10,16 +10,14 @@ namespace {
 
 /// Builds every lazy cache the query layer may touch — the column image,
 /// the key index, the encoded-key arena and the table statistics — on
-/// the registering thread, before the relation becomes shared. The lazy
-/// first-touch paths are not thread-safe; a published relation must not
-/// have any left. Deliberately does NOT materialize rows: columnar scans
-/// never need them, and charging a row materialization here would change
-/// the row/columnar cost parity the storage tests pin down.
+/// the registering thread, so the first query over a published relation
+/// does not pay for them. (The caches are safe to build concurrently
+/// through const; warming only moves their cost to registration.)
 void WarmRelation(const ExtendedRelation& relation) {
   const ColumnStore& columns = relation.columns();
   (void)columns.encoded_keys();
   (void)columns.statistics();
-  relation.EnsureKeyIndex();
+  (void)relation.key_index();
 }
 
 }  // namespace

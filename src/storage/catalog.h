@@ -26,9 +26,8 @@ namespace evident {
 ///
 /// Every relation in a snapshot is *warmed* before publication: its
 /// column image, key index, encoded-key arena and table statistics are
-/// built eagerly on the registering thread, so the lazy caches that are
-/// not thread-safe on first touch are already built by the time multiple
-/// query threads share the snapshot.
+/// built eagerly on the registering thread, so the first query does not
+/// pay for them. (The caches are safe to build concurrently anyway.)
 class CatalogSnapshot {
  public:
   CatalogSnapshot() = default;

@@ -60,7 +60,8 @@ std::string WriteErel(const Catalog& catalog, int mass_decimals) {
       if (attr.is_uncertain()) os << " " << attr.domain->name();
       os << "\n";
     }
-    for (const ExtendedTuple& t : rel->rows()) {
+    for (size_t r = 0; r < rel->size(); ++r) {
+      const ExtendedTuple t = rel->row(r);
       os << "row ";
       for (size_t c = 0; c < t.cells.size(); ++c) {
         if (c) os << " | ";

@@ -285,8 +285,8 @@ Result<Catalog> ReadErel(const std::string& text,
 
 /// \brief Which format SaveErelFile writes.
 enum class ErelFormat {
-  /// Column image when any relation is columnar-mode (saving must not
-  /// force row materialization), v1 text when all are row-mode.
+  /// Column image when any relation is columnar-mode (saved as is), v1
+  /// text when all are row-mode.
   kAuto,
   kText,
   kColumnImage,

@@ -50,7 +50,8 @@ std::string RenderTable(const ExtendedRelation& relation,
 
   std::vector<std::vector<std::string>> cells;
   cells.reserve(relation.size());
-  for (const ExtendedTuple& t : relation.rows()) {
+  for (size_t r = 0; r < relation.size(); ++r) {
+    const ExtendedTuple t = relation.row(r);
     std::vector<std::string> row;
     row.reserve(t.cells.size() + 1);
     for (const Cell& cell : t.cells) {

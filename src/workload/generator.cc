@@ -153,7 +153,7 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
             // combination can never totally conflict.
             auto row = a.FindByKey(
                 {Value(options.base.key_prefix + std::to_string(key_id))});
-            const EvidenceSet& aes =
+            const EvidenceSet aes =
                 std::get<EvidenceSet>(a.row(*row).cells[c]);
             const double reliability = 0.3 + 0.6 * rng_.NextDouble();
             EVIDENT_ASSIGN_OR_RETURN(EvidenceSet es,
@@ -166,7 +166,7 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
             // conflict is high (often total).
             auto row = a.FindByKey(
                 {Value(options.base.key_prefix + std::to_string(key_id))});
-            const EvidenceSet& aes = std::get<EvidenceSet>(a.row(*row).cells[c]);
+            const EvidenceSet aes = std::get<EvidenceSet>(a.row(*row).cells[c]);
             ValueSet support(attr.domain->size());
             for (const auto& [set, mass] : aes.mass().focals()) {
               support = support.Union(set);

@@ -242,7 +242,8 @@ Result<ExtendedRelation> ExpectedTable5() {
   // Table 5 is exactly R_A restricted to (rname, phone, speciality,
   // rating, (sn,sp)).
   const auto& ra_schema = *full_schema;
-  for (const ExtendedTuple& t : ra.rows()) {
+  for (size_t r = 0; r < ra.size(); ++r) {
+    const ExtendedTuple t = ra.row(r);
     ExtendedTuple p;
     p.cells = {t.cells[ra_schema.IndexOf("rname").value()],
                t.cells[ra_schema.IndexOf("phone").value()],

@@ -39,7 +39,8 @@ TEST_P(AlgebraPropertyTest, ThresholdMonotonicity) {
   auto loose = Select(r_, pred, MembershipThreshold::SnGreater(0.1)).value();
   auto strict = Select(r_, pred, MembershipThreshold::SnGreater(0.5)).value();
   EXPECT_LE(strict.size(), loose.size());
-  for (const ExtendedTuple& t : strict.rows()) {
+  for (size_t row_index = 0; row_index < strict.size(); ++row_index) {
+    const ExtendedTuple t = strict.row(row_index);
     auto row = loose.FindByKey(strict.KeyOf(t));
     ASSERT_TRUE(row.ok());
     EXPECT_TRUE(
@@ -56,7 +57,8 @@ TEST_P(AlgebraPropertyTest, PredicateStrengtheningShrinksSupport) {
   auto both =
       Select(r_, And(p, q), MembershipThreshold::SnGreater(0.0)).value();
   EXPECT_LE(both.size(), p_only.size());
-  for (const ExtendedTuple& t : both.rows()) {
+  for (size_t row_index = 0; row_index < both.size(); ++row_index) {
+    const ExtendedTuple t = both.row(row_index);
     auto row = p_only.FindByKey(both.KeyOf(t));
     ASSERT_TRUE(row.ok());
     EXPECT_LE(t.membership.sn, p_only.row(*row).membership.sn + 1e-12);
@@ -88,7 +90,8 @@ TEST_P(AlgebraPropertyTest, AlwaysTruePredicateIsIdentity) {
 TEST_P(AlgebraPropertyTest, ProjectionPreservesSizeAndMembership) {
   auto projected = Project(r_, {"key", "unc1"}).value();
   ASSERT_EQ(projected.size(), r_.size());
-  for (const ExtendedTuple& t : r_.rows()) {
+  for (size_t row_index = 0; row_index < r_.size(); ++row_index) {
+    const ExtendedTuple t = r_.row(row_index);
     auto row = projected.FindByKey(r_.KeyOf(t));
     ASSERT_TRUE(row.ok());
     EXPECT_TRUE(
@@ -106,7 +109,8 @@ TEST_P(AlgebraPropertyTest, UnionAssociativeOnGeneratedSources) {
   auto ab = gen.MakeSourcePair(options).value();
   // Third source: discounted copy of A (always combinable).
   ExtendedRelation c("C", ab.first.schema());
-  for (const ExtendedTuple& t : ab.first.rows()) {
+  for (size_t row_index = 0; row_index < ab.first.size(); ++row_index) {
+    const ExtendedTuple t = ab.first.row(row_index);
     ExtendedTuple copy = t;
     for (size_t i = 0; i < copy.cells.size(); ++i) {
       if (!CellIsValue(copy.cells[i])) {
@@ -155,7 +159,8 @@ TEST_P(AlgebraPropertyTest, IntersectIsSubsetOfUnion) {
   auto merged = Union(pair.first, pair.second).value();
   auto corroborated = Intersect(pair.first, pair.second).value();
   EXPECT_LE(corroborated.size(), merged.size());
-  for (const ExtendedTuple& t : corroborated.rows()) {
+  for (size_t row_index = 0; row_index < corroborated.size(); ++row_index) {
+    const ExtendedTuple t = corroborated.row(row_index);
     auto row = merged.FindByKey(corroborated.KeyOf(t));
     ASSERT_TRUE(row.ok());
     EXPECT_TRUE(merged.row(*row).membership.ApproxEquals(t.membership,

@@ -259,7 +259,7 @@ TEST(LinearTransformTest, PreservesIntegerTypingWhenExact) {
   AttributePreprocessor pre(schema, {id, floors});
   auto rel = pre.Run(raw);
   ASSERT_TRUE(rel.ok()) << rel.status();
-  const Value& v = std::get<Value>(rel->row(0).cells[1]);
+  const Value v = std::get<Value>(rel->row(0).cells[1]);
   EXPECT_TRUE(v.is_int());
   EXPECT_EQ(v.int_value(), 4);
 }

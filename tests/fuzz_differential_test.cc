@@ -6,15 +6,15 @@
 // kAuto pairwise <-> fast-Möbius boundary), random relations, and random
 // operator trees (Select / Project / Union / Intersect / Join / Product
 // / MergeTuples with random predicates, including equi- and non-equi
-// joins). Every tree executes under every storage/kernel/thread mode —
-// {row, columnar} x {SIMD, scalar} x {threads 1, 7} — and the results
-// must be *bit-identical*: same schemas, same row order, exactly equal
-// focal structures, masses and memberships, and identical first-error
-// statuses (code and message). Trees additionally round-trip their
-// inputs through both .erel file formats (the v2 column image exactly,
-// the v1 text format within the serialized precision) and their
-// columnar outputs through the v2 format without ever materializing row
-// objects.
+// joins). Every tree executes under every kernel/thread mode —
+// {SIMD, scalar} x {threads 1, 7} — and the results must be
+// *bit-identical* to the naive reference evaluator
+// (tests/reference_algebra.h): same schemas, same row order, exactly
+// equal focal structures, masses and memberships, and identical
+// first-error statuses (code and message). Trees additionally
+// round-trip their inputs through both .erel file formats (the v2
+// column image exactly, the v1 text format within the serialized
+// precision) and their outputs through the v2 format.
 //
 // The default seed runs kDefaultCases cases (one operator tree each);
 // set EVIDENT_FUZZ_ITERS for deeper runs.
@@ -38,6 +38,7 @@
 #include "integration/entity_identifier.h"
 #include "integration/tuple_merger.h"
 #include "query/engine.h"
+#include "reference_algebra.h"
 #include "storage/erel_format.h"
 
 namespace evident {
@@ -56,32 +57,24 @@ size_t FuzzCases() {
 // Execution modes.
 
 struct Mode {
-  bool columnar;
   bool simd;
   size_t threads;
   const char* name;
 };
 
-/// kModes[0] is the reference: the row-store interpretation, serial.
-/// The batch SIMD toggle only affects the columnar path, so the row mode
-/// appears once per thread count.
 constexpr Mode kModes[] = {
-    {false, true, 1, "row/t1"},
-    {false, true, 7, "row/t7"},
-    {true, false, 1, "columnar/scalar/t1"},
-    {true, false, 7, "columnar/scalar/t7"},
-    {true, true, 1, "columnar/simd/t1"},
-    {true, true, 7, "columnar/simd/t7"},
+    {false, 1, "scalar/t1"},
+    {false, 7, "scalar/t7"},
+    {true, 1, "simd/t1"},
+    {true, 7, "simd/t7"},
 };
 
 void SetMode(const Mode& mode) {
-  SetColumnarExecution(mode.columnar);
   SetBatchSimdEnabled(mode.simd);
   SetParallelMaxThreads(mode.threads);
 }
 
 void RestoreDefaults() {
-  SetColumnarExecution(true);
   SetBatchSimdEnabled(true);
   SetParallelMaxThreads(0);
 }
@@ -210,8 +203,8 @@ ThetaOp RandomThetaOp(Rng* rng) {
 }
 
 PredicatePtr RandomConjunct(Rng* rng, const RelationSchema& schema) {
-  // Rarely reference a missing attribute: every mode (and the bound
-  // fallback) must report the identical error.
+  // Rarely reference a missing attribute: every mode must report the
+  // reference's error.
   if (rng->Chance(0.02)) return IsSym("no_such_attr", {"v0"});
   const size_t a = rng->Below(schema.size());
   const AttributeDef& attr = schema.attribute(a);
@@ -236,9 +229,9 @@ PredicatePtr RandomConjunct(Rng* rng, const RelationSchema& schema) {
     for (size_t i = 0; i < count; ++i) {
       values.push_back(domain->value(rng->Below(n)));
     }
-    // Occasionally a constant outside the frame: a per-row error in the
-    // interpreted path, which the bound path must reproduce by falling
-    // back — including producing *no* error over an empty input.
+    // Occasionally a constant outside the frame: a per-row error of the
+    // interpreted predicate, which the bound predicate must reproduce —
+    // including producing *no* error over an empty input.
     if (rng->Chance(0.04)) values.emplace_back("zz_outside_frame");
     return Is(attr.name, std::move(values));
   }
@@ -369,6 +362,36 @@ const char* NodeOpName(Node::Op op) {
   return "?";
 }
 
+/// The reference evaluator's execution of `node`.
+Result<ExtendedRelation> ExecuteReferenceNode(
+    const Node& node, const std::vector<ExtendedRelation>& slots) {
+  switch (node.op) {
+    case Node::Op::kSelect:
+      return reference::Select(slots[node.left], node.predicate,
+                               node.threshold);
+    case Node::Op::kProject:
+      return reference::Project(slots[node.left], node.project_attrs);
+    case Node::Op::kUnion:
+      return reference::Union(slots[node.left], slots[node.right],
+                              node.options);
+    case Node::Op::kIntersect:
+      return reference::Intersect(slots[node.left], slots[node.right],
+                                  node.options);
+    case Node::Op::kMerge:
+      return reference::MergeTuples(slots[node.left], slots[node.right],
+                                    node.matching, node.options);
+    case Node::Op::kJoin:
+      return reference::Join(slots[node.left], slots[node.right],
+                             node.predicate, node.threshold);
+    case Node::Op::kProduct:
+      return reference::Product(slots[node.left], slots[node.right]);
+    case Node::Op::kRename:
+      return reference::RenameAttribute(slots[node.left], node.rename_from,
+                                        node.rename_to);
+  }
+  return Status::Internal("unreachable node op");
+}
+
 Result<ExtendedRelation> ExecuteNode(
     const Node& node, const std::vector<ExtendedRelation>& slots) {
   switch (node.op) {
@@ -400,17 +423,20 @@ struct FuzzCase {
   std::vector<Node> nodes;
 };
 
-/// Runs the plan over `bases`, collecting one Result per node. A node
-/// whose execution succeeds contributes a new slot consumable by later
-/// nodes (so deep pipelines carry each mode's own intermediates).
+/// Runs the plan over `bases` — on the reference evaluator when
+/// `use_reference` — collecting one Result per node. A node whose
+/// execution succeeds contributes a new slot consumable by later nodes
+/// (so deep pipelines carry each run's own intermediates).
 std::vector<Result<ExtendedRelation>> RunPlan(
     const std::vector<ExtendedRelation>& bases,
-    const std::vector<Node>& nodes) {
+    const std::vector<Node>& nodes, bool use_reference = false) {
   std::vector<ExtendedRelation> slots = bases;
   std::vector<Result<ExtendedRelation>> results;
   results.reserve(nodes.size());
   for (const Node& node : nodes) {
-    Result<ExtendedRelation> result = ExecuteNode(node, slots);
+    Result<ExtendedRelation> result = use_reference
+                                          ? ExecuteReferenceNode(node, slots)
+                                          : ExecuteNode(node, slots);
     if (result.ok()) slots.push_back(*result);
     results.push_back(std::move(result));
   }
@@ -418,7 +444,7 @@ std::vector<Result<ExtendedRelation>> RunPlan(
 }
 
 /// Generates a case: base relations plus an operator tree. The planner
-/// executes each candidate node on reference slots as it goes, both to
+/// executes each candidate node on the operators as it goes, both to
 /// know intermediate schemas/sizes (for choosing compatible operands
 /// and bounding growth) and because error nodes end no slot.
 FuzzCase GenerateCase(uint64_t seed, bool big) {
@@ -440,7 +466,7 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
         RandomRelation(&rng, "R3", schema_b, rows, key_range, string_keys));
   }
 
-  SetMode(kModes[0]);  // plan against the reference interpretation
+  SetMode(kModes[0]);
   std::vector<ExtendedRelation> slots = c.bases;
   const size_t steps = 2 + rng.Below(4);
   const size_t max_pairs = big ? 8192 : 20000;
@@ -534,7 +560,7 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
     if (!viable) break;
     // Execute to keep the planner's slots in lockstep with RunPlan (ok
     // results become slots, error nodes do not). Error nodes stay in the
-    // plan: the error must be identical in every mode.
+    // plan: the error must be the reference's in every mode.
     Result<ExtendedRelation> result = ExecuteNode(node, slots);
     if (result.ok()) slots.push_back(std::move(result).value());
     c.nodes.push_back(std::move(node));
@@ -544,32 +570,6 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
 
 // ---------------------------------------------------------------------------
 // Comparators.
-
-/// eps == 0: bit-identical (same schema, same row order, same focal
-/// structure, bitwise-equal masses and memberships). eps > 0: same shape
-/// with numeric wiggle room (the text format's serialized precision).
-void ExpectRelationsMatch(const ExtendedRelation& ref,
-                          const ExtendedRelation& got, double eps,
-                          const std::string& what) {
-  ASSERT_TRUE(ref.schema()->Equals(*got.schema())) << what;
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const ExtendedTuple& x = ref.row(i);
-    const ExtendedTuple& y = got.row(i);
-    if (eps == 0.0) {
-      ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-      ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    } else {
-      ASSERT_TRUE(x.membership.ApproxEquals(y.membership, eps))
-          << what << " row " << i;
-    }
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t cix = 0; cix < x.cells.size(); ++cix) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[cix], y.cells[cix], eps))
-          << what << " row " << i << " cell " << cix;
-    }
-  }
-}
 
 void ExpectOutcomesMatch(const std::vector<Result<ExtendedRelation>>& ref,
                          const std::vector<Result<ExtendedRelation>>& got,
@@ -594,15 +594,10 @@ void ExpectOutcomesMatch(const std::vector<Result<ExtendedRelation>>& ref,
   }
 }
 
-// Defined with the EQL harness below; the v3 open-mode axes need it too.
-void ExpectRelationsMatchByKey(const ExtendedRelation& ref,
-                               const ExtendedRelation& got,
-                               const std::string& what);
-
 // ---------------------------------------------------------------------------
 // The harness.
 
-TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
+TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
   const size_t cases = FuzzCases();
   for (size_t case_index = 0; case_index < cases; ++case_index) {
     const uint64_t seed = 0x5EEDF00DULL + case_index * 7919;
@@ -610,15 +605,14 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
     FuzzCase c = GenerateCase(seed, big);
     const std::string tag = "case " + std::to_string(case_index);
 
-    SetMode(kModes[0]);
-    const std::vector<Result<ExtendedRelation>> reference =
-        RunPlan(c.bases, c.nodes);
+    const std::vector<Result<ExtendedRelation>> expected =
+        RunPlan(c.bases, c.nodes, /*use_reference=*/true);
 
-    for (size_t m = 1; m < std::size(kModes); ++m) {
+    for (size_t m = 0; m < std::size(kModes); ++m) {
       SetMode(kModes[m]);
       const std::vector<Result<ExtendedRelation>> got =
           RunPlan(c.bases, c.nodes);
-      ExpectOutcomesMatch(reference, got, /*eps=*/0.0,
+      ExpectOutcomesMatch(expected, got, /*eps=*/0.0,
                           /*compare_messages=*/true,
                           tag + " mode " + kModes[m].name);
       if (::testing::Test::HasFatalFailure()) {
@@ -634,7 +628,6 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         ASSERT_TRUE(inputs.RegisterRelation(base).ok()) << tag;
       }
 
-      SetMode(kModes[0]);
       // v2 column image: bit-exact.
       auto v2 = ReadErel(WriteErelColumnImage(inputs));
       ASSERT_TRUE(v2.ok()) << tag << ": " << v2.status().ToString();
@@ -645,7 +638,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
         EXPECT_TRUE(loaded->columnar_mode()) << tag;
         v2_bases.push_back(*loaded);
       }
-      ExpectOutcomesMatch(reference, RunPlan(v2_bases, c.nodes),
+      ExpectOutcomesMatch(expected, RunPlan(v2_bases, c.nodes),
                           /*eps=*/0.0, /*compare_messages=*/true,
                           tag + " v2 round trip");
       // v1 text: exact to the serialized precision; error *codes* must
@@ -656,7 +649,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       for (const ExtendedRelation& base : c.bases) {
         v1_bases.push_back(*v1->GetRelation(base.name()).value());
       }
-      ExpectOutcomesMatch(reference, RunPlan(v1_bases, c.nodes),
+      ExpectOutcomesMatch(expected, RunPlan(v1_bases, c.nodes),
                           /*eps=*/1e-6, /*compare_messages=*/false,
                           tag + " text round trip");
       if (::testing::Test::HasFatalFailure()) {
@@ -665,31 +658,22 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
       }
     }
 
-    // Round-trip columnar *outputs* through the v2 format: saving must
-    // not materialize rows, and load must reproduce them bit-exactly.
+    // Round-trip operator *outputs* (column images) through the v2
+    // format: load must reproduce them bit-exactly.
     if (case_index % 5 == 2) {
-      SetMode(kModes[2]);  // columnar, scalar, serial
       const std::vector<Result<ExtendedRelation>> columnar =
           RunPlan(c.bases, c.nodes);
       Catalog outputs;
       std::vector<size_t> saved_ops;
       for (size_t i = 0; i < columnar.size(); ++i) {
         if (!columnar[i].ok() || columnar[i]->size() == 0) continue;
-        // Interpreted-predicate fallbacks still build rows; skip those.
-        if (!columnar[i]->columnar_mode()) continue;
+        EXPECT_TRUE(columnar[i]->columnar_mode()) << tag << " op " << i;
         ExtendedRelation copy = *columnar[i];
         copy.set_name("out" + std::to_string(i));
         ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok()) << tag;
         saved_ops.push_back(i);
       }
       const std::string blob = WriteErelColumnImage(outputs);
-      for (size_t i : saved_ops) {
-        const ExtendedRelation* rel =
-            outputs.GetRelation("out" + std::to_string(i)).value();
-        EXPECT_EQ(rel->rows_materialized(), 0u)
-            << tag << ": saving op " << i
-            << " materialized rows as a side effect";
-      }
       auto loaded = ReadErel(blob);
       ASSERT_TRUE(loaded.ok()) << tag << ": " << loaded.status().ToString();
       for (size_t i : saved_ops) {
@@ -716,7 +700,6 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
     // time for the copied path, at first forced verification for the
     // mapped path.
     if (case_index % 5 == 4) {
-      SetMode(kModes[0]);
       Catalog inputs;
       for (const ExtendedRelation& base : c.bases) {
         ASSERT_TRUE(inputs.RegisterRelation(base).ok()) << tag;
@@ -849,7 +832,7 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
     // row cap must behave identically in every mode — the identical
     // nodes trip, with the identical ExecError message — and a budget
     // that suffices in one mode must suffice in all (the logical-charge
-    // model bills the same totals regardless of executor). Deadlines are
+    // model bills the same totals at any thread count). Deadlines are
     // excluded: *when* they fire is inherently nondeterministic.
     if (case_index % 7 == 3) {
       Rng gov_rng(seed ^ 0x60BE44EDULL);
@@ -914,35 +897,13 @@ TEST(FuzzDifferentialTest, OperatorTreesAgreeAcrossAllModesAndFormats) {
 
 // ---------------------------------------------------------------------------
 // Random EQL statements through the query engine, differential across
-// {optimized, unoptimized} x {row, columnar} x {fused, unfused} (+ a
-// threaded fused mode). Pushdown must not change the result set by a single bit nor
-// reorder which error fires first; the optimizer may flip a join's hash
-// build side, which only permutes the (implementation-defined) row
-// order, so join-shaped statements compare as keyed sets and every
-// other shape compares with strict row order.
-
-/// Exact keyed comparison: same schema, same cardinality, and for every
-/// reference row an equal-keyed row with bitwise-equal cells and
-/// membership.
-void ExpectRelationsMatchByKey(const ExtendedRelation& ref,
-                               const ExtendedRelation& got,
-                               const std::string& what) {
-  ASSERT_TRUE(ref.schema()->Equals(*got.schema())) << what;
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const ExtendedTuple& x = ref.row(i);
-    auto found = got.FindByKey(ref.KeyOf(x));
-    ASSERT_TRUE(found.ok()) << what << " row " << i;
-    const ExtendedTuple& y = got.row(*found);
-    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t cix = 0; cix < x.cells.size(); ++cix) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[cix], y.cells[cix], 0.0))
-          << what << " row " << i << " cell " << cix;
-    }
-  }
-}
+// {optimized, unoptimized} x {fused, unfused} (+ a threaded fused mode)
+// against the reference evaluator over the unoptimized plan. Pushdown
+// must not change the result set by a single bit nor reorder which
+// error fires first; the optimizer may flip a join's hash build side,
+// which only permutes the (implementation-defined) row order, so
+// join-shaped statements compare as keyed sets and every other shape
+// compares with strict row order.
 
 /// Attribute layout of one EQL-visible relation: a single int/string
 /// key, definite int attributes, uncertain attributes over small
@@ -1034,28 +995,27 @@ std::string RandomEqlConjunct(Rng* rng, const EqlRelationSpec& spec,
   }
 }
 
-TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
+TEST(FuzzDifferentialTest, EqlStatementsMatchReferenceAcrossOptimizerModes) {
   struct EqlMode {
     bool optimize;
     bool fuse;
-    bool columnar;
     size_t threads;
     const char* name;
     /// Mode index whose result must match with strict row order (same
-    /// plan, different storage/threading/fusion); -1 compares keyed vs
-    /// mode 0.
+    /// plan, different threading/fusion); -1 is the reference evaluator
+    /// (the same, unoptimized, plan); -2 none (an optimized plan may
+    /// flip build sides).
     int strict_against;
   };
   static constexpr EqlMode kEqlModes[] = {
-      {false, false, false, 1, "unopt/row", -1},
-      {false, false, true, 1, "unopt/columnar", 0},
-      {true, false, false, 1, "opt/row", -1},
+      {false, false, 1, "unopt", -1},
+      {false, false, 7, "unopt/t7", -1},
       // The set_pipeline_fusion_enabled(false) escape hatch executes the
       // unfused plan; the fused modes below must match it row-for-row,
       // bit-for-bit.
-      {true, false, true, 1, "opt/columnar/nofuse", 2},
-      {true, true, true, 1, "opt/columnar/fused", 3},
-      {true, true, true, 7, "opt/columnar/fused/t7", 4},
+      {true, false, 1, "opt/nofuse", -2},
+      {true, true, 1, "opt/fused", 2},
+      {true, true, 7, "opt/fused/t7", 3},
   };
 
   const size_t cases = std::max<size_t>(FuzzCases() / 2, 50);
@@ -1205,9 +1165,16 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
     const std::string tag =
         "eql case " + std::to_string(case_index) + ": " + stmt;
 
+    // The reference: the unoptimized plan on the reference evaluator
+    // (a statement that fails to plan fails identically everywhere).
+    Result<ExtendedRelation> expected = [&]() -> Result<ExtendedRelation> {
+      QueryEngine planner(&catalog);
+      planner.set_optimizer_enabled(false);
+      EVIDENT_ASSIGN_OR_RETURN(auto plan, planner.Prepare(stmt));
+      return reference::ExecutePlan(*plan);
+    }();
     std::vector<Result<ExtendedRelation>> outcomes;
     for (const EqlMode& mode : kEqlModes) {
-      SetColumnarExecution(mode.columnar);
       SetParallelMaxThreads(mode.threads);
       QueryEngine engine(&catalog);
       engine.set_optimizer_enabled(mode.optimize);
@@ -1216,16 +1183,15 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
     }
     RestoreDefaults();
 
-    for (size_t m = 1; m < outcomes.size(); ++m) {
+    for (size_t m = 0; m < outcomes.size(); ++m) {
       const std::string where = tag + " [" + kEqlModes[m].name + "]";
-      ASSERT_EQ(outcomes[0].ok(), outcomes[m].ok())
-          << where << "\nref:  " << outcomes[0].status().ToString()
+      ASSERT_EQ(expected.ok(), outcomes[m].ok())
+          << where << "\nref:  " << expected.status().ToString()
           << "\ngot: " << outcomes[m].status().ToString();
-      if (!outcomes[0].ok()) {
-        EXPECT_EQ(outcomes[0].status().code(), outcomes[m].status().code())
+      if (!expected.ok()) {
+        EXPECT_EQ(expected.status().code(), outcomes[m].status().code())
             << where;
-        EXPECT_EQ(outcomes[0].status().message(),
-                  outcomes[m].status().message())
+        EXPECT_EQ(expected.status().message(), outcomes[m].status().message())
             << where;
         continue;
       }
@@ -1233,19 +1199,21 @@ TEST(FuzzDifferentialTest, EqlStatementsAgreeAcrossOptimizerAndModes) {
       if (strict >= 0) {
         ExpectRelationsMatch(*outcomes[strict], *outcomes[m], /*eps=*/0.0,
                              where + " (strict)");
+      } else if (strict == -1) {
+        ExpectRelationsMatch(*expected, *outcomes[m], /*eps=*/0.0,
+                             where + " (strict vs reference)");
       }
       if (join_like) {
-        ExpectRelationsMatchByKey(*outcomes[0], *outcomes[m],
-                                  where + " (keyed)");
+        ExpectRelationsMatchByKey(*expected, *outcomes[m], where + " (keyed)");
       } else {
-        ExpectRelationsMatch(*outcomes[0], *outcomes[m], /*eps=*/0.0,
+        ExpectRelationsMatch(*expected, *outcomes[m], /*eps=*/0.0,
                              where + " (order)");
       }
       if (::testing::Test::HasFatalFailure()) return;
     }
 
     // EXPLAIN must render whenever the statement plans.
-    if (outcomes[0].ok()) {
+    if (expected.ok()) {
       QueryEngine engine(&catalog);
       auto rendering = engine.Explain(stmt);
       EXPECT_TRUE(rendering.ok()) << tag << ": " << rendering.status();

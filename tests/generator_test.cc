@@ -75,7 +75,8 @@ TEST(GeneratorTest, SourcePairOverlapIsExact) {
   options.key_overlap = 0.25;
   auto [a, b] = gen.MakeSourcePair(options).value();
   size_t shared = 0;
-  for (const ExtendedTuple& t : b.rows()) {
+  for (size_t row_index = 0; row_index < b.size(); ++row_index) {
+    const ExtendedTuple t = b.row(row_index);
     if (a.ContainsKey(b.KeyOf(t))) ++shared;
   }
   EXPECT_EQ(shared, 10u);  // floor(0.25 * 40)
@@ -88,7 +89,8 @@ TEST(GeneratorTest, NonConflictingPairsAlwaysCombinable) {
   options.key_overlap = 1.0;
   options.conflict_rate = 0.0;
   auto [a, b] = gen.MakeSourcePair(options).value();
-  for (const ExtendedTuple& t : a.rows()) {
+  for (size_t row_index = 0; row_index < a.size(); ++row_index) {
+    const ExtendedTuple t = a.row(row_index);
     auto row = b.FindByKey(a.KeyOf(t));
     ASSERT_TRUE(row.ok());
     for (size_t c = 0; c < t.cells.size(); ++c) {
@@ -108,7 +110,8 @@ TEST(GeneratorTest, SharedKeysAgreeOnDefiniteAttributes) {
   options.key_overlap = 0.5;
   auto [a, b] = gen.MakeSourcePair(options).value();
   const auto& schema = *a.schema();
-  for (const ExtendedTuple& t : b.rows()) {
+  for (size_t row_index = 0; row_index < b.size(); ++row_index) {
+    const ExtendedTuple t = b.row(row_index);
     auto row = a.FindByKey(b.KeyOf(t));
     if (!row.ok()) continue;
     for (size_t c = 0; c < schema.size(); ++c) {
@@ -130,7 +133,8 @@ TEST(GeneratorTest, ConflictRateInjectsTotalConflicts) {
   auto [a, b] = gen.MakeSourcePair(options).value();
   size_t conflicts = 0;
   const size_t unc_index = a.schema()->IndexOf("unc0").value();
-  for (const ExtendedTuple& t : a.rows()) {
+  for (size_t row_index = 0; row_index < a.size(); ++row_index) {
+    const ExtendedTuple t = a.row(row_index);
     auto row = b.FindByKey(a.KeyOf(t));
     ASSERT_TRUE(row.ok());
     auto combined =
@@ -173,7 +177,7 @@ TEST(GeneratorTest, GroundTruthEvidenceKeepsTruthPlausible) {
   auto workload = gen.MakeGroundTruth(options).value();
   const size_t cat = workload.schema->IndexOf("cat").value();
   for (const auto& [key, truth_index] : workload.truth) {
-    const auto& es = std::get<EvidenceSet>(
+    const EvidenceSet es = std::get<EvidenceSet>(
         workload.source_a.row(*workload.source_a.FindByKey(key)).cells[cat]);
     EXPECT_GT(es.mass().Plausibility(
                   ValueSet::Singleton(es.domain()->size(), truth_index)),

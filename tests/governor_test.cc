@@ -2,7 +2,7 @@
 // memory budgets and row caps threaded through the engine — and the
 // robustness contract around them. A tripped limit must surface as one
 // deterministic ExecError whose message is identical across
-// {row, columnar} x {fused, unfused} x thread counts, and the engine,
+// {fused, unfused} x thread counts, and the engine,
 // worker pool and shared catalog images must stay fully usable: the next
 // query on the same engine returns exactly what a fresh engine returns.
 #include "core/query_context.h"
@@ -18,6 +18,7 @@
 #include "common/domain.h"
 #include "core/column_store.h"
 #include "core/operations.h"
+#include "reference_algebra.h"
 #include "core/parallel.h"
 #include "query/engine.h"
 #include "storage/catalog.h"
@@ -124,29 +125,19 @@ constexpr char kStarQuery[] =
 /// Restores the global execution-mode toggles a test permutes.
 class ModeGuard {
  public:
-  ModeGuard() : columnar_(ColumnarExecutionEnabled()) {}
-  ~ModeGuard() {
-    SetColumnarExecution(columnar_);
-    SetParallelMaxThreads(0);
-  }
-
- private:
-  bool columnar_;
+  ~ModeGuard() { SetParallelMaxThreads(0); }
 };
 
 struct Mode {
-  bool columnar;
   bool fused;
   size_t threads;
 };
 
 std::vector<Mode> AllModes() {
   std::vector<Mode> modes;
-  for (bool columnar : {false, true}) {
-    for (bool fused : {false, true}) {
-      for (size_t threads : {size_t{1}, size_t{7}}) {
-        modes.push_back({columnar, fused, threads});
-      }
+  for (bool fused : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{7}}) {
+      modes.push_back({fused, threads});
     }
   }
   return modes;
@@ -157,7 +148,6 @@ Result<ExtendedRelation> RunGoverned(const Catalog& catalog,
                                      QueryContext* ctx,
                                      const std::string& query,
                                      const Mode& mode) {
-  SetColumnarExecution(mode.columnar);
   SetParallelMaxThreads(mode.threads);
   QueryEngine engine(&catalog);
   engine.set_pipeline_fusion_enabled(mode.fused);
@@ -169,8 +159,11 @@ TEST(GovernorTest, UnconstrainedContextLeavesResultsUnchanged) {
   ModeGuard guard;
   Catalog catalog;
   RegisterPair(&catalog);
-  QueryEngine plain(&catalog);
-  auto expected = plain.Execute(kJoinQuery);
+  QueryEngine planner(&catalog);
+  planner.set_optimizer_enabled(false);
+  auto plan = planner.Prepare(kJoinQuery);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto expected = reference::ExecutePlan(**plan);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   QueryContext ctx;  // no limits set: governed but unconstrained
@@ -228,12 +221,13 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
   // Measure the exact charge total in one mode...
   QueryContext probe;
   ASSERT_TRUE(
-      RunGoverned(catalog, &probe, kJoinQuery, {false, false, 1}).ok());
+      RunGoverned(catalog, &probe, kJoinQuery, {false, 1}).ok());
   const uint64_t bytes = probe.bytes_charged();
   const uint64_t rows = probe.rows_charged();
   ASSERT_GT(bytes, 0u);
   // ... and that exact total must be enough in every other mode: the
-  // logical-charge model bills identical totals regardless of executor.
+  // logical-charge model bills identical totals regardless of fusion and
+  // thread count.
   QueryContext ctx;
   ctx.set_memory_budget(bytes);
   ctx.set_row_cap(rows);
@@ -364,7 +358,6 @@ TEST(GovernorTest, CancelStormOverFusedPipelines) {
   ModeGuard guard;
   Catalog catalog;
   RegisterPair(&catalog);
-  SetColumnarExecution(true);
   SetParallelMaxThreads(7);
   const std::string query =
       "SELECT lk, ld FROM L WHERE ld < 6 AND lu IS {a0, a1, a2} WITH sn > 0";

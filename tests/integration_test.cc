@@ -250,7 +250,7 @@ TEST(TupleMergerTest, MergesAcrossDifferentKeys) {
   ASSERT_EQ(merged->size(), 1u);
   // Merged under the left key.
   EXPECT_TRUE(merged->ContainsKey({Value("wok cafe")}));
-  const auto& es = std::get<EvidenceSet>(merged->row(0).cells[1]);
+  const EvidenceSet es = std::get<EvidenceSet>(merged->row(0).cells[1]);
   // Dempster: m(x) = (0.3+0.2+0.3)/1 = 0.8 (no conflict).
   EXPECT_NEAR(es.Belief({Value("x")}).value(), 0.8, 1e-12);
 }

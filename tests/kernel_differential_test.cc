@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "core/parallel.h"
 #include "ds/combination.h"
 #include "integration/tuple_merger.h"
+#include "reference_algebra.h"
 #include "workload/generator.h"
 
 namespace evident {
@@ -251,53 +251,10 @@ TEST(ValueSetBoundaryTest, InlineWordRoundTripAt64) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar vs row storage-mode differentials: every operator must produce
-// *bit-identical* relations in both modes — same row order, same focal
-// structures, exactly equal masses and memberships — and identical
+// Operator differentials against the reference evaluator: every
+// operator must produce *bit-identical* relations — same row order, same
+// focal structures, exactly equal masses and memberships — and identical
 // error behaviour, for any thread count.
-
-/// Exact relation equality: same schema, same row order, cells equal
-/// with eps 0 (focal sets identical, masses bitwise equal through the
-/// |a-b| <= 0 comparison), memberships bitwise equal.
-void ExpectBitIdentical(const ExtendedRelation& a, const ExtendedRelation& b,
-                        const std::string& what) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema())) << what;
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const ExtendedTuple& x = a.row(i);
-    const ExtendedTuple& y = b.row(i);
-    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t c = 0; c < x.cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[c], y.cells[c], 0.0))
-          << what << " row " << i << " cell " << c;
-    }
-  }
-}
-
-/// Runs `op` in row mode then in columnar mode (restoring the global
-/// toggle) and asserts bit-identical results and identical statuses.
-void ExpectModeIdentical(
-    const std::function<Result<ExtendedRelation>()>& op,
-    const std::string& what) {
-  SetColumnarExecution(false);
-  Result<ExtendedRelation> row_result = op();
-  SetColumnarExecution(true);
-  Result<ExtendedRelation> columnar_result = op();
-  ASSERT_EQ(row_result.ok(), columnar_result.ok())
-      << what << "\nrow: " << row_result.status().ToString()
-      << "\ncolumnar: " << columnar_result.status().ToString();
-  if (!row_result.ok()) {
-    EXPECT_EQ(row_result.status().code(), columnar_result.status().code())
-        << what;
-    EXPECT_EQ(row_result.status().message(),
-              columnar_result.status().message())
-        << what;
-    return;
-  }
-  ExpectBitIdentical(*row_result, *columnar_result, what);
-}
 
 std::pair<ExtendedRelation, ExtendedRelation> MakeSources(uint64_t seed,
                                                           size_t tuples,
@@ -318,14 +275,10 @@ std::pair<ExtendedRelation, ExtendedRelation> MakeSources(uint64_t seed,
 
 TEST(ColumnarDifferentialTest, ColumnStoreRoundTripIsLossless) {
   auto [a, b] = MakeSources(42, 80, 0.2);
-  ColumnStore store = ColumnStore::FromRelation(a);
-  auto back = store.ToRelation();
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectBitIdentical(a, *back, "column store round trip");
-  // The adopted (columnar-mode) relation materializes the same rows.
+  // The adopted (columnar-mode) relation decodes the same rows.
   ExtendedRelation adopted =
-      ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(a));
-  ExpectBitIdentical(a, adopted, "adopted column image");
+      ExtendedRelation::AdoptColumns(a.columns());
+  ExpectRelationsMatch(a, adopted, 0.0, "adopted column image");
   // And serves key probes from its lazily-built index.
   for (size_t i = 0; i < a.size(); ++i) {
     auto found = adopted.FindByKey(a.KeyOf(a.row(i)));
@@ -334,7 +287,7 @@ TEST(ColumnarDifferentialTest, ColumnStoreRoundTripIsLossless) {
   }
 }
 
-TEST(ColumnarDifferentialTest, SelectMatchesRowModeBitForBit) {
+TEST(ColumnarDifferentialTest, SelectMatchesReferenceBitForBit) {
   auto [a, b] = MakeSources(7, 120, 0.0);
   (void)b;
   const ExtendedRelation input = a;
@@ -345,17 +298,17 @@ TEST(ColumnarDifferentialTest, SelectMatchesRowModeBitForBit) {
             ThetaOperand::Attr("unc1")),
       Theta(ThetaOperand::Attr("def0"), ThetaOp::kEq,
             ThetaOperand::Attr("def1")),
-      // Unknown attribute: both modes must report the identical error.
+      // Unknown attribute: both must report the identical error.
       IsSym("nope", {"v0"}),
   };
   for (size_t p = 0; p < predicates.size(); ++p) {
-    ExpectModeIdentical(
-        [&, p] { return Select(input, predicates[p]); },
-        "select predicate " + std::to_string(p));
+    ExpectSameOutcome(reference::Select(input, predicates[p]),
+                      Select(input, predicates[p]),
+                      "select predicate " + std::to_string(p));
   }
 }
 
-TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
+TEST(ColumnarDifferentialTest, UnionMatchesReferenceAcrossRulesAndPolicies) {
   for (double conflict : {0.0, 0.5}) {
     auto [a, b] = MakeSources(1000 + static_cast<uint64_t>(conflict * 10),
                               100, conflict);
@@ -368,8 +321,8 @@ TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
         UnionOptions options;
         options.rule = rule;
         options.on_total_conflict = policy;
-        ExpectModeIdentical(
-            [&] { return Union(a, b, options); },
+        ExpectSameOutcome(
+            reference::Union(a, b, options), Union(a, b, options),
             std::string("union rule ") + CombinationRuleToString(rule) +
                 " policy " + std::to_string(static_cast<int>(policy)) +
                 " conflict " + std::to_string(conflict));
@@ -378,7 +331,7 @@ TEST(ColumnarDifferentialTest, UnionMatchesRowModeAcrossRulesAndPolicies) {
   }
 }
 
-TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchRowMode) {
+TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchReference) {
   auto [a, b] = MakeSources(77, 90, 0.3);
   a.set_name("L");
   b.set_name("R");
@@ -387,24 +340,24 @@ TEST(ColumnarDifferentialTest, JoinAndMergeTuplesMatchRowMode) {
       And(Theta(ThetaOperand::Attr("L.key"), ThetaOp::kEq,
                 ThetaOperand::Attr("R.key")),
           IsSym("L.unc0", {"v0", "v1", "v2", "v3"}));
-  ExpectModeIdentical([&] { return Join(a, b, join_pred); },
-                      "hash join with residual");
+  ExpectSameOutcome(reference::Join(a, b, join_pred), Join(a, b, join_pred),
+                    "hash join with residual");
   // MergeTuples via key matching (inherits Union's merge pass).
   auto matching = MatchByKey(a, b);
   ASSERT_TRUE(matching.ok()) << matching.status().ToString();
   UnionOptions options;
   options.on_total_conflict = TotalConflictPolicy::kVacuous;
-  ExpectModeIdentical(
-      [&] { return MergeTuples(a, b, *matching, options); },
-      "merge tuples by key");
+  ExpectSameOutcome(reference::MergeTuples(a, b, *matching, options),
+                    MergeTuples(a, b, *matching, options),
+                    "merge tuples by key");
 }
 
 TEST(ColumnarDifferentialTest, PreferRightKeepsLeftCellOnCrossKindEquality) {
   // int 1 and real 1.0 compare equal (Value's cross-kind numeric rule),
-  // so ApproxEquals cannot distinguish them — but the row path keeps the
-  // *left* cell on equality, and the columnar build must too, or the
-  // merged cell's kind flips under kPreferRight and kind-sensitive
-  // consumers (serialization) diverge between modes.
+  // so ApproxEquals cannot distinguish them — but the union keeps the
+  // *left* cell on equality, as the reference does, or the merged cell's
+  // kind flips under kPreferRight and kind-sensitive consumers
+  // (serialization) diverge.
   auto schema = RelationSchema::Make({AttributeDef::Key("k"),
                                       AttributeDef::Definite("d")})
                     .value();
@@ -418,25 +371,23 @@ TEST(ColumnarDifferentialTest, PreferRightKeepsLeftCellOnCrossKindEquality) {
                   .ok());
   UnionOptions options;
   options.on_definite_conflict = DefiniteConflictPolicy::kPreferRight;
-  for (bool columnar : {false, true}) {
-    SetColumnarExecution(columnar);
-    auto merged = Union(a, b, options);
+  for (bool use_reference : {false, true}) {
+    auto merged = use_reference ? reference::Union(a, b, options)
+                                : Union(a, b, options);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ASSERT_EQ(merged->size(), 1u);
-    const Value& cell = std::get<Value>(merged->row(0).cells[1]);
-    EXPECT_TRUE(cell.is_int()) << "columnar=" << columnar;
+    const Value cell = std::get<Value>(merged->row(0).cells[1]);
+    EXPECT_TRUE(cell.is_int()) << "reference=" << use_reference;
   }
-  SetColumnarExecution(true);
 }
 
-TEST(ColumnarDifferentialTest, FirstErrorIdenticalAcrossModesAndThreads) {
+TEST(ColumnarDifferentialTest, FirstErrorMatchesReferenceAtAnyThreadCount) {
   auto [a, b] = MakeSources(555, 150, 0.6);
   UnionOptions options;  // kError policies
   for (size_t threads : {size_t{1}, size_t{7}}) {
     SetParallelMaxThreads(threads);
-    ExpectModeIdentical(
-        [&] { return Union(a, b, options); },
-        "union first-error threads=" + std::to_string(threads));
+    ExpectSameOutcome(reference::Union(a, b, options), Union(a, b, options),
+                      "union first-error threads=" + std::to_string(threads));
   }
   // The error itself must also agree across thread counts.
   SetParallelMaxThreads(1);

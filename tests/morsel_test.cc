@@ -24,6 +24,7 @@
 #include "core/schema.h"
 #include "core/tuple.h"
 #include "query/engine.h"
+#include "reference_algebra.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -123,23 +124,6 @@ EvidenceSet Singleton(const DomainPtr& domain, size_t index) {
       domain, MassFunction::Definite(domain->size(), index));
 }
 
-void ExpectBitIdentical(const ExtendedRelation& a, const ExtendedRelation& b,
-                        const std::string& what) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema())) << what;
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const ExtendedTuple& x = a.row(i);
-    const ExtendedTuple& y = b.row(i);
-    ASSERT_EQ(x.membership.sn, y.membership.sn) << what << " row " << i;
-    ASSERT_EQ(x.membership.sp, y.membership.sp) << what << " row " << i;
-    ASSERT_EQ(x.cells.size(), y.cells.size()) << what << " row " << i;
-    for (size_t c = 0; c < x.cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(x.cells[c], y.cells[c], 0.0))
-          << what << " row " << i << " cell " << c;
-    }
-  }
-}
-
 TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
   DomainPtr dom =
       Domain::MakeSymbolic("smoke_dom", {"a0", "a1", "a2", "a3"}).value();
@@ -182,7 +166,6 @@ TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
   // equi-join on the skewed ld drives the morsel-scheduled probe.
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu IS {a0, a1, a2}";
-  SetColumnarExecution(true);
   QueryEngine engine(&catalog);
   ASSERT_TRUE(engine.pipeline_fusion_enabled());
   auto plan = engine.Explain(stmt);
@@ -197,7 +180,7 @@ TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
     SetParallelMaxThreads(threads);
     auto got = engine.Execute(stmt);
     ASSERT_TRUE(got.ok()) << got.status();
-    ExpectBitIdentical(*reference, *got,
+    ExpectRelationsMatch(*reference, *got, 0.0,
                        "threads=" + std::to_string(threads));
   }
   SetParallelMaxThreads(0);

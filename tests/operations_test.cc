@@ -94,7 +94,7 @@ TEST_F(PaperTablesTest, SelectRetainsOriginalAttributeValues) {
   ASSERT_TRUE(result.ok());
   auto idx = result->FindByKey({Value("garden")});
   ASSERT_TRUE(idx.ok());
-  const auto& es =
+  const EvidenceSet es =
       std::get<EvidenceSet>(result->row(*idx).cells[4]);
   EXPECT_NEAR(
       es.mass().MassOf(ValueSet::Of(es.domain()->size(),
@@ -162,7 +162,8 @@ TEST_F(PaperTablesTest, ProductConcatenatesAndMultipliesMembership) {
   EXPECT_EQ(product->size(), small_a.size() * renamed.size());
   // mehl(A) sn=0.5 x mehl(B) sn=0.8 -> 0.4.
   bool found = false;
-  for (const auto& t : product->rows()) {
+  for (size_t row_index = 0; row_index < product->size(); ++row_index) {
+    const ExtendedTuple t = product->row(row_index);
     if (std::get<Value>(t.cells[0]) == Value("mehl") &&
         std::get<Value>(t.cells[2]) == Value("mehl")) {
       EXPECT_NEAR(t.membership.sn, 0.4, 1e-12);
@@ -203,7 +204,8 @@ TEST_F(PaperTablesTest, JoinOnEvidenceCondition) {
   // olive x olive: ratings [gd^.5, avg^.5] vs [gd^.8, avg^.2]:
   // sn = .5*.8 + .5*.2 = 0.5 > 0.3 — must be present.
   bool olive = false;
-  for (const auto& t : join->rows()) {
+  for (size_t row_index = 0; row_index < join->size(); ++row_index) {
+    const ExtendedTuple t = join->row(row_index);
     if (std::get<Value>(t.cells[0]) == Value("olive") &&
         std::get<Value>(
             t.cells[ra_.schema()->size()]) == Value("olive")) {
@@ -327,7 +329,7 @@ TEST(UnionRuleTest, MixingUnionAverages) {
   auto result = Union(left, right, options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
-  const auto& es = std::get<EvidenceSet>(result->row(0).cells[1]);
+  const EvidenceSet es = std::get<EvidenceSet>(result->row(0).cells[1]);
   auto bel = es.Belief({Value("x")});
   ASSERT_TRUE(bel.ok());
   EXPECT_NEAR(*bel, 0.5, 1e-12);

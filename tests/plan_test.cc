@@ -18,6 +18,7 @@
 #include "query/engine.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
+#include "reference_algebra.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -82,35 +83,30 @@ class PlanTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RegisterRelation(std::move(s)).ok());
   }
 
-  /// Runs `eql` under {optimizer on, off} x {fusion on, off} x
-  /// {columnar, row} and asserts all eight agree exactly (as keyed sets
-  /// — the optimizer may pick a different hash build side, which only
-  /// permutes rows).
+  /// Runs `eql` under {optimizer on, off} x {fusion on, off} and
+  /// asserts all four agree exactly with the reference evaluator over
+  /// the unoptimized plan (as keyed sets — the optimizer may pick a
+  /// different hash build side, which only permutes rows).
   void ExpectAllModesAgree(const std::string& eql) {
-    QueryEngine reference(&catalog_);
-    reference.set_optimizer_enabled(false);
-    reference.set_pipeline_fusion_enabled(false);
-    for (bool columnar : {true, false}) {
-      SetColumnarExecution(columnar);
-      auto b = reference.Execute(eql);
-      ASSERT_TRUE(b.ok()) << eql << ": " << b.status();
-      for (bool optimize : {true, false}) {
-        for (bool fuse : {true, false}) {
-          if (!optimize && !fuse) continue;  // the reference itself
-          QueryEngine engine(&catalog_);
-          engine.set_optimizer_enabled(optimize);
-          engine.set_pipeline_fusion_enabled(fuse);
-          auto a = engine.Execute(eql);
-          ASSERT_TRUE(a.ok()) << eql << ": " << a.status();
-          EXPECT_TRUE(a->ApproxEquals(*b, 0.0))
-              << eql << " (columnar=" << columnar
-              << ", optimize=" << optimize << ", fuse=" << fuse
-              << ")\ngot:\n"
-              << a->ToString() << "reference:\n" << b->ToString();
-        }
+    QueryEngine planner(&catalog_);
+    planner.set_optimizer_enabled(false);
+    auto plan = planner.Prepare(eql);
+    ASSERT_TRUE(plan.ok()) << eql << ": " << plan.status();
+    auto b = reference::ExecutePlan(**plan);
+    ASSERT_TRUE(b.ok()) << eql << ": " << b.status();
+    for (bool optimize : {true, false}) {
+      for (bool fuse : {true, false}) {
+        QueryEngine engine(&catalog_);
+        engine.set_optimizer_enabled(optimize);
+        engine.set_pipeline_fusion_enabled(fuse);
+        auto a = engine.Execute(eql);
+        ASSERT_TRUE(a.ok()) << eql << ": " << a.status();
+        EXPECT_TRUE(a->ApproxEquals(*b, 0.0))
+            << eql << " (optimize=" << optimize << ", fuse=" << fuse
+            << ")\ngot:\n"
+            << a->ToString() << "reference:\n" << b->ToString();
       }
     }
-    SetColumnarExecution(true);
   }
 
   Catalog catalog_;
@@ -294,41 +290,55 @@ TEST_F(PlanTest, PrefilterDropsOnlyZeroSupportRowsAndKeepsMemberships) {
   std::vector<PredicatePtr> conjuncts = {
       Is("ld", {Value(int64_t{3})}),
   };
-  for (bool columnar : {true, false}) {
-    SetColumnarExecution(columnar);
-    auto filtered = FilterPositiveSupport(l, conjuncts);
+  for (bool use_reference : {false, true}) {
+    auto filtered = use_reference
+                        ? reference::FilterPositiveSupport(l, conjuncts)
+                        : FilterPositiveSupport(l, conjuncts);
     ASSERT_TRUE(filtered.ok()) << filtered.status();
     EXPECT_EQ(filtered->name(), "L");  // name preserved for qualification
     EXPECT_EQ(filtered->size(), 5u);   // ld == 3 <=> lk % 8 == 3
     for (size_t i = 0; i < filtered->size(); ++i) {
-      const ExtendedTuple& t = filtered->row(i);
+      const ExtendedTuple t = filtered->row(i);
       EXPECT_EQ(std::get<Value>(t.cells[1]), Value(int64_t{3}));
       // Membership untouched (no F_TM revision).
-      const ExtendedTuple& src =
-          l.row(l.FindByKey(l.KeyOf(t)).value());
+      const ExtendedTuple src = l.row(l.FindByKey(l.KeyOf(t)).value());
       EXPECT_EQ(t.membership.sn, src.membership.sn);
       EXPECT_EQ(t.membership.sp, src.membership.sp);
     }
   }
-  SetColumnarExecution(true);
 }
 
-TEST_F(PlanTest, RenameAdoptsColumnImageWithoutMaterializingRows) {
+TEST_F(PlanTest, OrderByAndLimitRankAColumnarResult) {
+  // The ranking reads the result's membership column directly; the
+  // ranked rows must equal the reference evaluator's, in order (the sort
+  // is stable, so ties keep the input order).
+  for (const std::string eql :
+       {"SELECT * FROM L WHERE lu IS {a0, a1, a2} ORDER BY sn ASC LIMIT 4",
+        "SELECT lk, ld FROM L WHERE ld IS {1, 5} ORDER BY sp DESC LIMIT 3",
+        "SELECT * FROM L JOIN S WHERE ld = sd ORDER BY sn DESC LIMIT 7",
+        "SELECT * FROM L WITH sn > 0.2 ORDER BY sn ASC"}) {
+    // Unoptimized, so the join's build side (hence the order of sort
+    // ties) is the reference's.
+    QueryEngine engine(&catalog_);
+    engine.set_optimizer_enabled(false);
+    auto plan = engine.Prepare(eql);
+    ASSERT_TRUE(plan.ok()) << eql << ": " << plan.status();
+    auto got = engine.ExecutePrepared(**plan);
+    ASSERT_TRUE(got.ok() && got->size() > 0) << eql << ": " << got.status();
+    ExpectSameOutcome(reference::ExecutePlan(**plan), got, eql);
+  }
+}
+
+TEST_F(PlanTest, RenameAdoptsColumnImage) {
   const ExtendedRelation& l = *catalog_.GetRelation("L").value();
-  SetColumnarExecution(true);
-  ExtendedRelation columnar =
-      ExtendedRelation::AdoptColumns(ColumnStore::FromRelation(l));
+  ExtendedRelation columnar = ExtendedRelation::AdoptColumns(l.columns());
   auto renamed = RenameAttribute(columnar, "ld", "ld_renamed");
   ASSERT_TRUE(renamed.ok()) << renamed.status();
   EXPECT_TRUE(renamed->columnar_mode());
-  EXPECT_EQ(renamed->rows_materialized(), 0u);
-  EXPECT_EQ(columnar.rows_materialized(), 0u);
   EXPECT_TRUE(renamed->schema()->Has("ld_renamed"));
-  SetColumnarExecution(false);
-  auto reference = RenameAttribute(l, "ld", "ld_renamed");
-  SetColumnarExecution(true);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(renamed->ApproxEquals(*reference, 0.0));
+  auto expected = reference::RenameAttribute(l, "ld", "ld_renamed");
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(renamed->ApproxEquals(*expected, 0.0));
 }
 
 TEST_F(PlanTest, RenameAndMergeNodesExecuteProgrammatically) {

@@ -15,7 +15,7 @@ class PredicateTest : public ::testing::Test {
     ra_ = std::move(ra).value();
   }
 
-  const ExtendedTuple& TupleOf(const std::string& rname) {
+  ExtendedTuple TupleOf(const std::string& rname) {
     auto idx = ra_.FindByKey({Value(rname)});
     EXPECT_TRUE(idx.ok());
     return ra_.row(*idx);

@@ -157,7 +157,8 @@ TEST(PropertiesTest, ComplementSampleHasFreshKeysAndZeroSn) {
   auto ra = paper::TableRA().value();
   auto complement = MakeComplementSample(ra, 8, 7, "RA").value();
   EXPECT_EQ(complement.size(), 8u);
-  for (const auto& t : complement.rows()) {
+  for (size_t row_index = 0; row_index < complement.size(); ++row_index) {
+    const ExtendedTuple t = complement.row(row_index);
     EXPECT_DOUBLE_EQ(t.membership.sn, 0.0);
     EXPECT_FALSE(ra.ContainsKey(complement.KeyOf(t)));
   }

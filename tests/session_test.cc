@@ -15,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +28,7 @@
 #include "core/parallel.h"
 #include "core/query_context.h"
 #include "query/engine.h"
+#include "reference_algebra.h"
 #include "storage/catalog.h"
 
 namespace evident {
@@ -64,6 +66,21 @@ class Rendezvous {
   int arrived_ = 0;
   uint64_t round_ = 0;
 };
+
+/// Runs `round` `rounds` times on each of two threads released together
+/// and counts the rounds that returned false.
+int CountFailuresOnTwoThreads(int rounds, const std::function<bool()>& round) {
+  std::atomic<int> failures{0};
+  Rendezvous start(2);
+  auto run = [&] {
+    start.Arrive();
+    for (int i = 0; i < rounds; ++i) failures += round() ? 0 : 1;
+  };
+  std::thread a(run), b(run);
+  a.join();
+  b.join();
+  return failures.load();
+}
 
 /// L: 96 rows (key lk, definite ld, packed uncertain lu); `salt` varies
 /// the definite payload so a replaced L is distinguishable from the
@@ -423,6 +440,70 @@ TEST(SessionTest, ConcurrentGovernedQueriesOverRepublishAreBitIdentical) {
   EXPECT_EQ(manager.active_queries(), 0u);
   // 1 initial registration + (kGenerations - 1) replaces.
   EXPECT_EQ(catalog.version(), static_cast<uint64_t>(kGenerations));
+}
+
+// The repro for lazy caches on shared const relations: two engines on
+// two threads select from one catalog relation whose 96-value frame
+// does not bind to inline masks, so the predicate is interpreted per
+// decoded row. Nothing may be built on the shared relation unguarded.
+TEST(SessionTest, ConcurrentWideFrameSelectsOverOneSharedRelation) {
+  ThreadGuard guard;
+  SetParallelMaxThreads(2);
+  std::vector<std::string> symbols;
+  for (int i = 0; i < 96; ++i) symbols.push_back("w" + std::to_string(i));
+  DomainPtr dom = Domain::MakeSymbolic("wide_dom", symbols).value();
+  SchemaPtr schema = RelationSchema::Make({AttributeDef::Key("wk"),
+                                           AttributeDef::Uncertain("wu", dom)})
+                         .value();
+  ExtendedRelation w("W", schema);
+  for (int64_t i = 0; i < 576; ++i) {
+    ExtendedTuple t;
+    t.cells = {Value(i), EvidenceSet::MakeTrusted(
+                             dom, MassFunction::Definite(96, i % 96))};
+    t.membership = SupportPair::Certain();
+    ASSERT_TRUE(w.Insert(std::move(t)).ok());
+  }
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.RegisterRelation(ExtendedRelation::AdoptColumns(w.columns()))
+          .ok());
+  const std::string stmt = "SELECT * FROM W WHERE wu IS {w1, w2, w90}";
+  QueryEngine planner(&catalog);
+  planner.set_optimizer_enabled(false);
+  auto plan = planner.Prepare(stmt);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto expected = reference::ExecutePlan(**plan);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->size(), 3u * 576 / 96);
+
+  EXPECT_EQ(CountFailuresOnTwoThreads(20, [&] {
+              QueryEngine engine(&catalog);
+              auto got = engine.Execute(stmt);
+              return got.ok() && got->ApproxEquals(*expected, 0.0);
+            }),
+            0);
+}
+
+// Two threads union against one shared operator output whose key index
+// and encoded keys are not built yet (and a row-store left operand whose
+// column image is not either): the first probes build them concurrently.
+TEST(SessionTest, ConcurrentUnionsBuildSharedKeyIndexOnce) {
+  ThreadGuard guard;
+  SetParallelMaxThreads(2);
+  const ExtendedRelation left = MakeL(1);
+  auto selected = Select(MakeL(0), IsSym("lu", {"a0", "a1", "a2"}));
+  ASSERT_TRUE(selected.ok()) << selected.status();
+  const ExtendedRelation& shared = *selected;
+  UnionOptions options;  // the salted ld cells conflict: take the right's
+  options.on_definite_conflict = DefiniteConflictPolicy::kPreferRight;
+  auto expected = reference::Union(left, shared, options);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  EXPECT_EQ(CountFailuresOnTwoThreads(1, [&] {
+              auto got = Union(left, shared, options);
+              return got.ok() && got->ApproxEquals(*expected, 0.0);
+            }),
+            0);
 }
 
 // Plan-cache contract: same statement on the same catalog version hits

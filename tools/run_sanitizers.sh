@@ -3,15 +3,16 @@
 # one command — the recipe ROADMAP.md used to carry as prose.
 #
 #   asan (default): storage/join/fuzz/plan/governor/fault-injection/
-#                   session suites under ASan + UBSan (the session suite
-#                   pins catalog snapshots across replaces — the UAF
-#                   regression lives there).
+#                   session/reference-oracle suites under ASan + UBSan
+#                   (the session suite pins catalog snapshots across
+#                   replaces — the UAF regression lives there).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
 #                   fused pipelines, the differential fuzz harness —
 #                   which runs every operator at threads=7 — the
 #                   governor's cross-thread cancellation storms, and the
 #                   concurrent-session suite with mid-flight catalog
-#                   republishes) under ThreadSanitizer.
+#                   republishes and lazy caches built from two threads)
+#                   under ThreadSanitizer.
 #   all:            both, sequentially.
 #
 # Usage:
@@ -55,8 +56,9 @@ run_pass() {
     tsan) flags="-fsanitize=thread -fno-sanitize-recover=all" ;;
   esac
   local targets=(storage_test join_test fuzz_differential_test plan_test
-                 morsel_test governor_test fault_injection_test session_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test)$'
+                 morsel_test governor_test fault_injection_test session_test
+                 reference_algebra_test)
+  local filter='^(storage_test|join_test|fuzz_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|reference_algebra_test)$'
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
