@@ -10,8 +10,10 @@
 //   \explain <eql>          show the query plan
 //   \load <path>            load an .erel file (reports mapped/copied)
 //   \save <path> [hash|range <P>]
-//                           save the catalog as .erel; with a scheme and
-//                           partition count, as a partitioned v3 image
+//                           save the catalog as .erel: v1 text when every
+//                           relation is a row store, else a monolithic v3
+//                           column image; with a scheme and partition
+//                           count, a partitioned v3 image
 //   \deadline <ms>          per-query deadline in milliseconds (0 = off)
 //   \budget <bytes>         per-query memory budget (0 = unlimited)
 //   \rowcap <rows>          per-query output row cap (0 = unlimited)

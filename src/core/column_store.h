@@ -198,7 +198,7 @@ class ColumnStore {
   const TableStatistics& statistics() const;
 
   /// \brief Installs precomputed statistics (the column-image loader's
-  /// path, restoring the persisted footer so a loaded catalog plans
+  /// path, restoring the persisted statistics so a loaded catalog plans
   /// without re-profiling). Marks the cache built.
   void AdoptStatistics(TableStatistics stats) {
     statistics_.Set(std::make_shared<TableStatistics>(std::move(stats)));

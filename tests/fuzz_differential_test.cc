@@ -12,9 +12,10 @@
 // (tests/reference_algebra.h): same schemas, same row order, exactly
 // equal focal structures, masses and memberships, and identical
 // first-error statuses (code and message). Trees additionally
-// round-trip their inputs through both .erel file formats (the v2
+// round-trip their inputs through both .erel file formats (a monolithic
 // column image exactly, the v1 text format within the serialized
-// precision) and their outputs through the v2 format.
+// precision), their outputs through a monolithic column image, and
+// their inputs through partitioned images opened mapped and copied.
 //
 // The default seed runs kDefaultCases cases (one operator tree each);
 // set EVIDENT_FUZZ_ITERS for deeper runs.
@@ -628,19 +629,19 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
         ASSERT_TRUE(inputs.RegisterRelation(base).ok()) << tag;
       }
 
-      // v2 column image: bit-exact.
-      auto v2 = ReadErel(WriteErelColumnImage(inputs));
-      ASSERT_TRUE(v2.ok()) << tag << ": " << v2.status().ToString();
-      std::vector<ExtendedRelation> v2_bases;
+      // Monolithic column image: bit-exact.
+      auto image = ReadErel(WriteErelColumnImageV3(inputs));
+      ASSERT_TRUE(image.ok()) << tag << ": " << image.status().ToString();
+      std::vector<ExtendedRelation> image_bases;
       for (const ExtendedRelation& base : c.bases) {
         const ExtendedRelation* loaded =
-            v2->GetRelation(base.name()).value();
+            image->GetRelation(base.name()).value();
         EXPECT_TRUE(loaded->columnar_mode()) << tag;
-        v2_bases.push_back(*loaded);
+        image_bases.push_back(*loaded);
       }
-      ExpectOutcomesMatch(expected, RunPlan(v2_bases, c.nodes),
+      ExpectOutcomesMatch(expected, RunPlan(image_bases, c.nodes),
                           /*eps=*/0.0, /*compare_messages=*/true,
-                          tag + " v2 round trip");
+                          tag + " column image round trip");
       // v1 text: exact to the serialized precision; error *codes* must
       // still agree (messages may print the re-rounded masses).
       auto v1 = ReadErel(WriteErel(inputs));
@@ -658,8 +659,8 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
       }
     }
 
-    // Round-trip operator *outputs* (column images) through the v2
-    // format: load must reproduce them bit-exactly.
+    // Round-trip operator *outputs* (column images) through a monolithic
+    // column image: load must reproduce them bit-exactly.
     if (case_index % 5 == 2) {
       const std::vector<Result<ExtendedRelation>> columnar =
           RunPlan(c.bases, c.nodes);
@@ -673,7 +674,7 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
         ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok()) << tag;
         saved_ops.push_back(i);
       }
-      const std::string blob = WriteErelColumnImage(outputs);
+      const std::string blob = WriteErelColumnImageV3(outputs);
       auto loaded = ReadErel(blob);
       ASSERT_TRUE(loaded.ok()) << tag << ": " << loaded.status().ToString();
       for (size_t i : saved_ops) {
@@ -681,7 +682,7 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
             loaded->GetRelation("out" + std::to_string(i)).value();
         EXPECT_TRUE(rel->columnar_mode()) << tag;
         ExpectRelationsMatch(*columnar[i], *rel, /*eps=*/0.0,
-                             tag + " v2 output round trip op " +
+                             tag + " image output round trip op " +
                                  std::to_string(i) + " (" +
                                  NodeOpName(c.nodes[i].op) + ")");
         if (::testing::Test::HasFatalFailure()) {

@@ -64,7 +64,7 @@ TEST(CatalogTest, ConflictingDomainRejected) {
             StatusCode::kAlreadyExists);
 }
 
-TEST(ErelFormatTest, RoundTripsPaperTables) {
+TEST(ErelTextFormatTest, RoundTripsPaperTables) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRB().value()).ok());
@@ -79,7 +79,7 @@ TEST(ErelFormatTest, RoundTripsPaperTables) {
   EXPECT_TRUE((*rb)->ApproxEquals(paper::TableRB().value(), 1e-8));
 }
 
-TEST(ErelFormatTest, RoundTripsGeneratedWorkload) {
+TEST(ErelTextFormatTest, RoundTripsGeneratedWorkload) {
   WorkloadGenerator gen(11);
   GeneratorOptions options;
   options.num_tuples = 40;
@@ -92,7 +92,7 @@ TEST(ErelFormatTest, RoundTripsGeneratedWorkload) {
   EXPECT_TRUE((*loaded->GetRelation("W"))->ApproxEquals(relation, 1e-8));
 }
 
-TEST(ErelFormatTest, QuotedNumericStringsRoundTrip) {
+TEST(ErelTextFormatTest, QuotedNumericStringsRoundTrip) {
   auto schema = RelationSchema::Make({AttributeDef::Key("k"),
                                       AttributeDef::Definite("d")})
                     .value();
@@ -109,7 +109,7 @@ TEST(ErelFormatTest, QuotedNumericStringsRoundTrip) {
   EXPECT_TRUE(std::get<Value>(rel->row(0).cells[1]).is_string());
 }
 
-TEST(ErelFormatTest, ParseErrors) {
+TEST(ErelTextFormatTest, ParseErrors) {
   EXPECT_FALSE(ReadErel("garbage line").ok());
   EXPECT_FALSE(ReadErel("relation R\nattr k key\nrow a | (1,1)\n").ok());
   EXPECT_FALSE(ReadErel("relation R\nattr k key\n").ok());  // no end
@@ -122,7 +122,7 @@ TEST(ErelFormatTest, ParseErrors) {
           .ok());
 }
 
-TEST(ErelFormatTest, FileRoundTrip) {
+TEST(ErelTextFormatTest, FileRoundTrip) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
   const std::string path = "/tmp/evident_test_catalog.erel";
@@ -136,7 +136,7 @@ TEST(ErelFormatTest, FileRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 column-image format
+// Column images (EVCIMG03)
 
 Catalog GeneratedCatalog(uint64_t seed, size_t tuples) {
   WorkloadGenerator gen(seed);
@@ -153,16 +153,71 @@ Catalog GeneratedCatalog(uint64_t seed, size_t tuples) {
   return catalog;
 }
 
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// The first error a load of `path` reports: at open for a copied load,
+/// at open or while driving every deferred check for a mapped one. On
+/// success `*catalog` (when given) receives the verified catalog.
+Status FirstLoadError(const std::string& path, LoadOptions::Map map,
+                      Catalog* catalog = nullptr) {
+  LoadOptions options;
+  options.map = map;
+  auto loaded = LoadErelFile(path, options, nullptr);
+  if (!loaded.ok()) return loaded.status();
+  for (const std::string& name : loaded->RelationNames()) {
+    const Status verified =
+        loaded->GetRelation(name).value()->columns().EnsureAllVerified();
+    if (!verified.ok()) return verified;
+  }
+  if (catalog != nullptr) *catalog = std::move(loaded).value();
+  return Status::OK();
+}
+
+/// Same domains (names and ordered values), same relation names and
+/// schemas, and bit-identical rows and statistics.
+void ExpectSameCatalog(const Catalog& expected, const Catalog& got,
+                       const std::string& what) {
+  ASSERT_EQ(expected.DomainNames(), got.DomainNames()) << what;
+  for (const std::string& name : expected.DomainNames()) {
+    EXPECT_TRUE(expected.GetDomain(name).value()->Equals(
+        *got.GetDomain(name).value()))
+        << what << ": domain " << name;
+  }
+  ASSERT_EQ(expected.RelationNames(), got.RelationNames()) << what;
+  for (const std::string& name : expected.RelationNames()) {
+    const ExtendedRelation* want = expected.GetRelation(name).value();
+    const ExtendedRelation* have = got.GetRelation(name).value();
+    EXPECT_EQ(want->name(), have->name()) << what;
+    EXPECT_TRUE(want->schema()->Equals(*have->schema()))
+        << what << ": schema of " << name;
+    ExpectRelationsMatch(*want, *have, /*eps=*/0.0, what + " " + name);
+    const TableStatistics& a = want->columns().statistics();
+    const TableStatistics& b = have->columns().statistics();
+    EXPECT_EQ(a.row_count, b.row_count) << what;
+    ASSERT_EQ(a.attributes.size(), b.attributes.size()) << what;
+    for (size_t i = 0; i < a.attributes.size(); ++i) {
+      EXPECT_EQ(a.attributes[i].distinct, b.attributes[i].distinct) << what;
+      EXPECT_EQ(a.attributes[i].exact, b.attributes[i].exact) << what;
+    }
+    EXPECT_EQ(a.sn_histogram, b.sn_histogram) << what;
+    EXPECT_EQ(a.sp_histogram, b.sp_histogram) << what;
+  }
+}
+
 TEST(ColumnImageFormatTest, RoundTripsBitExactlyAndStaysColumnar) {
   Catalog catalog = GeneratedCatalog(17, 60);
-  const std::string blob = WriteErelColumnImage(catalog);
-  ASSERT_EQ(blob.compare(0, 8, "EVCIMG02"), 0);
+  const std::string blob = WriteErelColumnImageV3(catalog);
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  // The loader adopts the column image as is.
+  // The loader adopts the column image as is...
   EXPECT_TRUE(rel->columnar_mode());
   ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
+  // ...so re-saving the loaded catalog reproduces the image byte for byte.
+  EXPECT_EQ(WriteErelColumnImageV3(*loaded), blob);
 }
 
 TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
@@ -177,7 +232,7 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   copy.set_name("S");
   Catalog outputs;
   ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok());
-  const std::string blob = WriteErelColumnImage(outputs);
+  const std::string blob = WriteErelColumnImageV3(outputs);
   EXPECT_TRUE(outputs.GetRelation("S").value()->columnar_mode());
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -189,26 +244,26 @@ TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(ExtendedRelation("E", schema)).ok());
   ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
-  auto loaded = ReadErel(WriteErelColumnImage(catalog));
+  auto loaded = ReadErel(WriteErelColumnImageV3(catalog));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded->GetRelation("E"))->size(), 0u);
   ExpectRelationsMatch(*catalog.GetRelation("RA").value(),
-                 *loaded->GetRelation("RA").value());
+                       *loaded->GetRelation("RA").value());
 }
 
 TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
   const std::string path = "/tmp/evident_test_format_pick.erel";
   auto first_bytes = [&path]() {
     std::ifstream in(path, std::ios::binary);
-    std::string head(6, '\0');
-    in.read(head.data(), 6);
+    std::string head(8, '\0');
+    in.read(head.data(), 8);
     return head;
   };
   // All relations row-mode: the human-readable text format.
   Catalog rows = GeneratedCatalog(5, 10);
   ASSERT_TRUE(SaveErelFile(rows, path).ok());
-  EXPECT_EQ(first_bytes(), "# evid");
-  // A columnar relation present: kAuto writes the column image.
+  EXPECT_EQ(first_bytes(), "# eviden");
+  // A columnar relation present: a monolithic column image.
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
@@ -216,93 +271,125 @@ TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
   selected->set_name("S");
   ASSERT_TRUE(mixed.RegisterRelation(*selected).ok());
   ASSERT_TRUE(SaveErelFile(mixed, path).ok());
-  EXPECT_EQ(first_bytes(), "EVCIMG");
-  // Explicit format overrides win either way.
-  ASSERT_TRUE(SaveErelFile(mixed, path, ErelFormat::kText).ok());
-  EXPECT_EQ(first_bytes(), "# evid");
-  ASSERT_TRUE(SaveErelFile(rows, path, ErelFormat::kColumnImage).ok());
-  EXPECT_EQ(first_bytes(), "EVCIMG");
-  auto loaded = LoadErelFile(path);
+  EXPECT_EQ(first_bytes(), "EVCIMG03");
+  LoadInfo info;
+  auto loaded = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectRelationsMatch(*rows.GetRelation("W").value(),
-                 *loaded->GetRelation("W").value());
+  EXPECT_EQ(info.format, "column-image-v3");
+  EXPECT_EQ(info.partitions, 2u);
+  for (const std::string& name : {"S", "W"}) {
+    ASSERT_TRUE(
+        loaded->GetRelation(name).value()->columns().EnsureAllVerified().ok());
+    ExpectRelationsMatch(*mixed.GetRelation(name).value(),
+                         *loaded->GetRelation(name).value());
+  }
   std::remove(path.c_str());
 }
 
 TEST(ColumnImageFormatTest, RejectsUnsupportedVersion) {
-  Catalog catalog = GeneratedCatalog(7, 4);
-  std::string blob = WriteErelColumnImage(catalog);
-  blob[6] = '9';
-  blob[7] = '9';
-  auto loaded = ReadErel(blob);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+  // Any version but 03 — including the retired 02 layout — is a clean
+  // ParseError naming the source, from the in-memory reader and from
+  // both open modes alike.
+  const std::string path = "/tmp/evident_test_version.erel";
+  const std::string blob = WriteErelColumnImageV3(GeneratedCatalog(7, 4));
+  for (const char* version : {"99", "02"}) {
+    std::string bad = blob;
+    bad.replace(6, 2, version);
+    auto loaded = ReadErel(bad, "version.erel");
+    ASSERT_FALSE(loaded.ok()) << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("version.erel"),
+              std::string::npos)
+        << loaded.status();
+    EXPECT_NE(loaded.status().message().find("unsupported"),
+              std::string::npos)
+        << loaded.status();
+    EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
+        << loaded.status();
+    WriteFile(path, bad);
+    const Status copied = FirstLoadError(path, LoadOptions::Map::kNever);
+    const Status mapped = FirstLoadError(path, LoadOptions::Map::kAlways);
+    EXPECT_EQ(copied.code(), StatusCode::kParseError) << copied;
+    EXPECT_NE(copied.message().find(path), std::string::npos) << copied;
+    EXPECT_EQ(copied.message(), mapped.message());
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
 }
 
-TEST(ColumnImageFormatTest, EveryTruncationIsACleanParseError) {
-  Catalog catalog = GeneratedCatalog(11, 6);
-  // Footerless blob: with the optional statistics footer, the prefix
-  // ending exactly at the footer boundary is itself a valid file (the
-  // footered case is covered below).
-  const std::string blob =
-      WriteErelColumnImage(catalog, /*include_statistics=*/false);
-  // Every proper prefix is missing data somewhere: the reader must
-  // return a Status (never read out of bounds). Prefixes shorter than
-  // the magic fall into the text parser, which rejects them too.
-  for (size_t len = 1; len < blob.size(); ++len) {
-    auto loaded = ReadErel(blob.substr(0, len));
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
-    ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
-        << "prefix of " << len << " bytes";
-  }
+/// An EVCIMG03 image in the layout written before the header and
+/// metadata checksums were added, with the since-removed index and
+/// statistics flag bytes: relation "L" with one key attribute and one
+/// row, k = 7.
+std::string PreChecksumImage() {
+  auto unhex = [](std::string_view hex) {
+    std::string bytes;
+    for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+      bytes.push_back(static_cast<char>(
+          std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+    }
+    return bytes;
+  };
+  const std::string zero_bins =
+      std::string(120, '\0') + unhex("01") + std::string(127, '\0');
+  return unhex(
+             "455643494d4730330000000001000000010000004c01000000010000006b00"
+             "ffffffff0100000000000000000100000001") +
+         std::string(15, '\0') +
+         unhex("4001000000000000d5539e2b000000000000f03f000000000000f03f0000"
+               "00000000f03f000000000000f03f01000700000000000000000700000000"
+               "00000000010000000000000007") +
+         std::string(13, '\0') +
+         unhex("f03f000000000000f03f5354415453303031010000000000000001000000"
+               "010000000000000001") +
+         zero_bins +
+         unhex("01000000000000000000000900000000000000010000000000001c4000"
+               "0000000900000001100000000000000090530090dc84a75200000000") +
+         std::string(60, '\xff') +
+         unhex("015354415453303031010000000000000001000000010000000000000001") +
+         zero_bins + unhex("0100000000000000");
+}
+
+TEST(ColumnImageFormatTest, PreChecksumLayoutIsACleanParseError) {
+  const std::string path = "/tmp/evident_test_pre_checksum.erel";
+  const std::string legacy = PreChecksumImage();
+  ASSERT_EQ(legacy.size(), 840u);
+  WriteFile(path, legacy);
+  const Status copied = FirstLoadError(path, LoadOptions::Map::kNever);
+  const Status mapped = FirstLoadError(path, LoadOptions::Map::kAlways);
+  EXPECT_EQ(copied.code(), StatusCode::kParseError) << copied;
+  EXPECT_NE(copied.message().find(path), std::string::npos) << copied;
+  EXPECT_EQ(copied.message(), mapped.message());
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
+  // The relation statistics record restores the optimizer's profile
+  // exactly, monolithic or partitioned.
   Catalog catalog = GeneratedCatalog(19, 70);
   const TableStatistics& built =
       catalog.GetRelation("W").value()->columns().statistics();
-  const std::string blob = WriteErelColumnImage(catalog);
-  auto loaded = ReadErel(blob);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  const TableStatistics& restored = rel->columns().statistics();
-  EXPECT_TRUE(rel->columnar_mode());
-  ASSERT_EQ(restored.row_count, built.row_count);
-  ASSERT_EQ(restored.attributes.size(), built.attributes.size());
-  for (size_t a = 0; a < built.attributes.size(); ++a) {
-    EXPECT_EQ(restored.attributes[a].distinct, built.attributes[a].distinct)
-        << "attr " << a;
-    EXPECT_EQ(restored.attributes[a].exact, built.attributes[a].exact)
-        << "attr " << a;
-  }
-  EXPECT_EQ(restored.sn_histogram, built.sn_histogram);
-  EXPECT_EQ(restored.sp_histogram, built.sp_histogram);
-  ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
-}
-
-TEST(ColumnImageFormatTest, FooterlessFilesLoadAndFooterTruncationsFail) {
-  Catalog catalog = GeneratedCatalog(29, 12);
-  const std::string footerless =
-      WriteErelColumnImage(catalog, /*include_statistics=*/false);
-  const std::string footered = WriteErelColumnImage(catalog);
-  ASSERT_LT(footerless.size(), footered.size());
-  ASSERT_EQ(footered.compare(0, footerless.size(), footerless), 0);
-  // A file without the footer (an older writer) loads identically; its
-  // statistics are just re-profiled on demand.
-  auto loaded = ReadErel(footerless);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectRelationsMatch(*catalog.GetRelation("W").value(),
-                 *loaded->GetRelation("W").value());
-  EXPECT_GT(loaded->GetRelation("W").value()->columns().statistics().row_count,
-            0u);
-  // Truncating strictly inside the footer must fail cleanly; truncating
-  // exactly at the footer boundary is the footerless file above.
-  for (size_t len = footerless.size() + 1; len < footered.size(); ++len) {
-    auto partial = ReadErel(footered.substr(0, len));
-    ASSERT_FALSE(partial.ok()) << "footer prefix of " << len << " bytes";
-    ASSERT_EQ(partial.status().code(), StatusCode::kParseError)
-        << "footer prefix of " << len << " bytes";
+  PartitionSpec hashed;
+  hashed.scheme = PartitionSpec::Scheme::kHash;
+  hashed.partitions = 3;
+  for (const PartitionSpec& spec : {PartitionSpec{}, hashed}) {
+    auto loaded = ReadErel(WriteErelColumnImageV3(catalog, spec));
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ExtendedRelation* rel = loaded->GetRelation("W").value();
+    const TableStatistics& restored = rel->columns().statistics();
+    EXPECT_TRUE(rel->columnar_mode());
+    ASSERT_EQ(restored.row_count, built.row_count);
+    ASSERT_EQ(restored.attributes.size(), built.attributes.size());
+    for (size_t a = 0; a < built.attributes.size(); ++a) {
+      EXPECT_EQ(restored.attributes[a].distinct, built.attributes[a].distinct)
+          << "attr " << a;
+      EXPECT_EQ(restored.attributes[a].exact, built.attributes[a].exact)
+          << "attr " << a;
+    }
+    EXPECT_EQ(restored.sn_histogram, built.sn_histogram);
+    EXPECT_EQ(restored.sp_histogram, built.sp_histogram);
+    ExpectRelationsMatchByKey(*catalog.GetRelation("W").value(), *rel);
   }
 }
 
@@ -311,15 +398,14 @@ TEST(ColumnImageFormatTest, ByteFlipsNeverCrashTheReader) {
   // clean Status or produce a catalog that passed every load-time
   // validation — never UB (this test is the ASan/UBSan target).
   Catalog catalog = GeneratedCatalog(13, 5);
-  const std::string blob = WriteErelColumnImage(catalog);
+  const std::string blob = WriteErelColumnImageV3(catalog);
   std::string corrupt = blob;
   for (size_t pos = 0; pos < blob.size(); ++pos) {
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0xFF);
     auto loaded = ReadErel(corrupt);
     if (loaded.ok()) {
-      // A flip that survived validation (e.g. a low mantissa bit of a
-      // mass) must still yield a usable catalog: materializing rows and
-      // re-validating must not crash.
+      // A flip that survived validation must still yield a usable
+      // catalog: materializing rows and re-validating must not crash.
       for (const std::string& name : loaded->RelationNames()) {
         (void)loaded->GetRelation(name).value()->ValidateInvariants();
       }
@@ -336,7 +422,7 @@ std::string BlobOf(ColumnStore store) {
   EXPECT_TRUE(
       catalog.RegisterRelation(ExtendedRelation::AdoptColumns(std::move(store)))
           .ok());
-  return WriteErelColumnImage(catalog);
+  return WriteErelColumnImageV3(catalog);
 }
 
 TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
@@ -350,13 +436,21 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     out->AppendMembership(SupportPair::Certain());
     out->AppendMembership(SupportPair::Certain());
   };
-  auto expect_parse_error = [](const std::string& blob,
-                               const std::string& needle) {
+  // Copied and mapped loads must both fail, with the same message.
+  const std::string path = "/tmp/evident_test_corrupt_columns.erel";
+  auto expect_parse_error = [&path](const std::string& blob,
+                                    const std::string& needle) {
     auto loaded = ReadErel(blob);
     ASSERT_FALSE(loaded.ok()) << "expected failure mentioning " << needle;
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
     EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
         << loaded.status().message();
+    WriteFile(path, blob);
+    const Status copied = FirstLoadError(path, LoadOptions::Map::kNever);
+    const Status mapped = FirstLoadError(path, LoadOptions::Map::kAlways);
+    EXPECT_EQ(copied.code(), StatusCode::kParseError) << copied;
+    EXPECT_NE(copied.message().find(needle), std::string::npos) << copied;
+    EXPECT_EQ(copied.message(), mapped.message());
   };
 
   {  // Focal masses that do not sum to 1 within tolerance.
@@ -372,8 +466,8 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     ColumnStore store;
     base_store(&store);
     auto& col = store.evidence_column_mut(1);
-    col.words = {0x1, 0x2};
-    col.masses = {0.6, 0.4};
+    col.words = {0x1};
+    col.masses = {1.0};
     col.offsets = {0, 2, 1};
     expect_parse_error(BlobOf(std::move(store)), "monotone");
   }
@@ -415,10 +509,9 @@ TEST(ColumnImageFormatTest, CorruptColumnsReportCleanStatuses) {
     store.AppendMembership(SupportPair::Unknown());  // (0, 1)
     expect_parse_error(BlobOf(std::move(store)), "sn > 0");
   }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
 }
-
-// ---------------------------------------------------------------------------
-// v3 partitioned column images
 
 TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   Catalog catalog = GeneratedCatalog(31, 60);
@@ -519,85 +612,79 @@ TEST(ColumnImageV3Test, MappedPartitionedLoadStitchesAndMatches) {
 
 TEST(ColumnImageV3Test, EveryTruncationIsACleanParseError) {
   Catalog catalog = GeneratedCatalog(47, 8);
-  PartitionSpec spec;
-  spec.scheme = PartitionSpec::Scheme::kHash;
-  spec.partitions = 3;
-  // Every proper prefix cuts a manifest field, a chunk, or the trailer
-  // short somewhere: the reader must fail cleanly, never read past the
-  // end, and name the file and offset region in the message.
-  const std::string blob = WriteErelColumnImageV3(catalog, spec);
-  for (size_t len = 8; len < blob.size(); ++len) {
-    auto loaded = ReadErel(blob.substr(0, len), "trunc.erel");
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
-    ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
-        << "prefix of " << len << " bytes";
-    ASSERT_NE(loaded.status().message().find("trunc.erel"), std::string::npos)
-        << loaded.status();
+  PartitionSpec hashed;
+  hashed.scheme = PartitionSpec::Scheme::kHash;
+  hashed.partitions = 3;
+  for (const PartitionSpec& spec : {PartitionSpec{}, hashed}) {
+    // Every proper prefix cuts the header, a manifest field, a chunk, or
+    // the trailer short somewhere: the reader must fail cleanly, never
+    // read past the end, and — once the column-image magic prefix is
+    // there — name the file and offset region in the message. Shorter
+    // prefixes fall into the text parser, which rejects them too.
+    const std::string blob = WriteErelColumnImageV3(catalog, spec);
+    for (size_t len = 1; len < blob.size(); ++len) {
+      auto loaded = ReadErel(blob.substr(0, len), "trunc.erel");
+      ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes parsed";
+      ASSERT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << "prefix of " << len << " bytes";
+      if (len < 6) continue;
+      ASSERT_NE(loaded.status().message().find("trunc.erel"),
+                std::string::npos)
+          << loaded.status();
+    }
   }
 }
 
 TEST(ColumnImageV3Test, MappedAndCopiedLoadsAgreeOnEveryByteFlip) {
-  // Single-byte corruption anywhere — manifest fields, zone maps, chunk
-  // bodies, the key trailer — must fail identically (same first error)
-  // whether the file is copied in (eager verification) or mapped
-  // (deferred verification driven to completion), and must never leak a
-  // mapping.
+  // Single-byte corruption anywhere — domain table, names, manifest
+  // fields, zone maps, chunk bodies, the key trailer, the statistics —
+  // must fail identically (same first error) whether the file is copied
+  // in (eager verification) or mapped (deferred verification driven to
+  // completion), and must never leak a mapping. A flip that loads at all
+  // must load exactly the original catalog: every byte is covered by a
+  // checksum or a load check.
   const std::string path = "/tmp/evident_test_v3_flips.erel";
   Catalog catalog = GeneratedCatalog(53, 12);
-  PartitionSpec spec;
-  spec.scheme = PartitionSpec::Scheme::kKeyRange;
-  spec.partitions = 4;
-  const std::string blob = WriteErelColumnImageV3(catalog, spec);
-  std::string corrupt = blob;
-  LoadOptions copied;
-  copied.map = LoadOptions::Map::kNever;
-  LoadOptions mapped;
-  mapped.map = LoadOptions::Map::kAlways;
-  for (size_t pos = 8; pos < blob.size(); ++pos) {
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << corrupt;
-    }
-    auto eager = LoadErelFile(path, copied, nullptr);
-    auto lazy = LoadErelFile(path, mapped, nullptr);
-    if (!eager.ok()) {
+  ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
+  PartitionSpec ranged;
+  ranged.scheme = PartitionSpec::Scheme::kKeyRange;
+  ranged.partitions = 4;
+  for (const PartitionSpec& spec : {PartitionSpec{}, ranged}) {
+    const std::string blob = WriteErelColumnImageV3(catalog, spec);
+    const std::string what =
+        spec.partitions == 1 ? "monolithic" : "partitioned";
+    WriteFile(path, blob);
+    Catalog original;
+    ASSERT_TRUE(FirstLoadError(path, LoadOptions::Map::kNever, &original).ok());
+    std::string corrupt = blob;
+    for (size_t pos = 8; pos < blob.size(); ++pos) {
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x20);
+      WriteFile(path, corrupt);
+      Catalog eager_catalog;
+      Catalog lazy_catalog;
+      const Status eager =
+          FirstLoadError(path, LoadOptions::Map::kNever, &eager_catalog);
+      const Status lazy =
+          FirstLoadError(path, LoadOptions::Map::kAlways, &lazy_catalog);
       // Structural damage fails both loads identically; semantic damage
       // loads lazily and surfaces the same error on verification.
-      Status lazy_status = Status::OK();
-      if (lazy.ok()) {
-        for (const std::string& name : lazy->RelationNames()) {
-          lazy_status =
-              lazy->GetRelation(name).value()->columns().EnsureAllVerified();
-          if (!lazy_status.ok()) break;
-        }
-      } else {
-        lazy_status = lazy.status();
+      ASSERT_EQ(eager.message(), lazy.message())
+          << what << " byte " << pos;
+      if (eager.ok()) {
+        const std::string at = what + " byte " + std::to_string(pos);
+        ExpectSameCatalog(original, eager_catalog, at + " copied");
+        ExpectSameCatalog(original, lazy_catalog, at + " mapped");
       }
-      ASSERT_FALSE(lazy_status.ok()) << "byte " << pos << ": copied load said "
-                                     << eager.status().message();
-      EXPECT_EQ(eager.status().message(), lazy_status.message())
-          << "byte " << pos;
-    } else {
-      // A surviving flip (e.g. a low mantissa bit inside zone bounds)
-      // must load both ways and stay usable.
-      ASSERT_TRUE(lazy.ok()) << "byte " << pos << ": " << lazy.status();
-      for (const std::string& name : lazy->RelationNames()) {
-        ASSERT_TRUE(
-            lazy->GetRelation(name).value()->columns().EnsureAllVerified().ok())
-            << "byte " << pos;
-        (void)lazy->GetRelation(name).value()->ValidateInvariants();
-      }
+      corrupt[pos] = blob[pos];
     }
-    corrupt[pos] = blob[pos];
   }
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
 }
 
 TEST(ColumnImageV3Test, EmptyRelationAndAutoFallback) {
-  // An empty relation is always one empty partition; kAuto still maps
-  // v3 files and falls back to the copied path for v2.
+  // An empty relation is always one empty partition; kAuto maps column
+  // images and falls back to the copied path for v1 text.
   auto schema = RelationSchema::Make({AttributeDef::Key("k")}).value();
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(ExtendedRelation("E", schema)).ok());
@@ -610,13 +697,14 @@ TEST(ColumnImageV3Test, EmptyRelationAndAutoFallback) {
   EXPECT_EQ((*loaded->GetRelation("E"))->columns().partitions().size(), 1u);
 
   const std::string path = "/tmp/evident_test_v3_fallback.erel";
-  Catalog v2 = GeneratedCatalog(59, 10);
-  ASSERT_TRUE(SaveErelFile(v2, path, ErelFormat::kColumnImage).ok());
+  Catalog rows = GeneratedCatalog(59, 10);
+  ASSERT_TRUE(SaveErelFile(rows, path).ok());
   LoadInfo info;
   auto fallback = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
   EXPECT_FALSE(info.mapped);
-  EXPECT_EQ(info.format, "column-image-v2");
+  EXPECT_EQ(info.format, "text");
+  EXPECT_EQ(info.partitions, 1u);
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
 }
