@@ -241,13 +241,14 @@ BENCHMARK(BM_EqlPushdown)
     ->Args({32768, 0})->Args({32768, 1})
     ->Unit(benchmark::kMillisecond);
 
-// The fused scan pipeline end-to-end through the EQL engine: a
-// prefilter (ld = 7), an evidence select and a pruning projection over
-// one scan. Arg 1 toggles pipeline fusion — off, each operator
-// materializes its intermediate relation; on, the whole chain runs per
-// morsel over the catalog's shared column image and splices only the
-// survivors once. Pinned to threads=1 so any gap is pure fusion, with
-// no parallelism in play.
+// The fused scan pipeline end-to-end through the EQL engine: a pruning
+// projection, a select and the output projection over one scan. Arg 1
+// picks the engine, whose fused pipeline runs the chain as one
+// FilterRows pass over the catalog's shared column image and splices
+// only the survivors once; arg 0 calls the same chain's operators one
+// at a time (Project, Select, Project), each materializing its
+// intermediate relation, without the engine's parse and plan. Pinned to
+// threads=1 so any gap is pure fusion, with no parallelism in play.
 void BM_FusedPipeline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
@@ -256,14 +257,26 @@ void BM_FusedPipeline(benchmark::State& state) {
     state.SkipWithError("catalog setup failed");
     return;
   }
-  (void)catalog.GetRelation("L").value()->columns();
+  const ExtendedRelation& rel = *catalog.GetRelation("L").value();
+  (void)rel.columns();
   QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(fused);
   SetParallelMaxThreads(1);
   const std::string stmt =
       "SELECT lk, ld FROM L WHERE ld = 7 AND lu0 IS {v0, v1, v2} WITH sn > 0";
+  const PredicatePtr predicate =
+      And({Theta(ThetaOperand::Attr("ld"), ThetaOp::kEq,
+                 ThetaOperand::LitValue(Value(int64_t{7}))),
+           IsSym("lu0", {"v0", "v1", "v2"})});
+  const MembershipThreshold threshold = MembershipThreshold::SnGreater(0.0);
+  auto operator_at_a_time = [&]() -> Result<ExtendedRelation> {
+    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation pruned,
+                             Project(rel, {"lk", "ld", "lu0"}));
+    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation selected,
+                             Select(pruned, predicate, threshold));
+    return Project(selected, {"lk", "ld"});
+  };
   for (auto _ : state) {
-    auto result = engine.Execute(stmt);
+    auto result = fused ? engine.Execute(stmt) : operator_at_a_time();
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize(result);
   }
@@ -280,10 +293,10 @@ BENCHMARK(BM_FusedPipeline)
 // The morsel-scheduled join probe over a skewed key: the hot join value
 // sits on the first half of the probe rows (the leading morsels), so a
 // static sharding leaves one shard holding nearly every matching pair.
-// Arg 1 toggles fusion — on, the probe loop consumes the prefiltered
-// scan directly from the catalog's column image; off, the prefilter
-// materializes its survivors first. Runs at threads=7 so morsel
-// stealing is in play on multi-core hosts.
+// Arg 1 picks the engine, whose probe reads the prefilter's kept rows
+// straight from the catalog's column image; arg 0 materializes the
+// prefilter's survivors (FilterPositiveSupport) and joins them. Runs at
+// threads=7 so morsel stealing is in play on multi-core hosts.
 void BM_FusedSkewedProbe(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool fused = state.range(1) != 0;
@@ -308,15 +321,26 @@ void BM_FusedSkewedProbe(benchmark::State& state) {
     state.SkipWithError("catalog setup failed");
     return;
   }
-  (void)catalog.GetRelation("L").value()->columns();
-  (void)catalog.GetRelation("R").value()->columns();
+  const ExtendedRelation& l = *catalog.GetRelation("L").value();
+  const ExtendedRelation& r = *catalog.GetRelation("R").value();
+  (void)l.columns();
+  (void)r.columns();
   QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(fused);
   SetParallelMaxThreads(7);
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu0 IS {v0, v1, v2}";
+  const PredicatePtr prefilter = IsSym("lu0", {"v0", "v1", "v2"});
+  const PredicatePtr predicate =
+      And({Theta(ThetaOperand::Attr("ld"), ThetaOp::kEq,
+                 ThetaOperand::Attr("rd")),
+           prefilter});
+  auto materialized = [&]() -> Result<ExtendedRelation> {
+    EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation kept,
+                             FilterPositiveSupport(l, {prefilter}));
+    return Join(kept, r, predicate);
+  };
   for (auto _ : state) {
-    auto result = engine.Execute(stmt);
+    auto result = fused ? engine.Execute(stmt) : materialized();
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize(result);
   }

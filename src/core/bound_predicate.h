@@ -79,8 +79,8 @@ class BoundPredicate {
   /// left unwritten); a fully bound predicate never fails. Thread-safe
   /// across disjoint ranges (scratch is thread-local). The per-row
   /// multiplication sequence runs in conjunct order regardless of range
-  /// width, so a single-row call (begin = row, end = row + 1 — how the
-  /// fused pipeline's sparse later stages evaluate surviving rows) is
+  /// width, so a single-row call (begin = row, end = row + 1 — how
+  /// FilterRows' later stages evaluate surviving rows) is
   /// arithmetic-identical to the same row inside a full-range sweep.
   Status EvaluateColumns(const ColumnStore& store, size_t begin, size_t end,
                          SupportPair* out) const {
@@ -149,8 +149,8 @@ class BoundPredicate {
   bool BindConjunct(const PredicatePtr& predicate);
   /// The compiled evaluation (fully bound predicates only). The public
   /// entry points wrap it inline, so a fully bound call's OK status
-  /// folds away at the call site — the fused pipeline evaluates its
-  /// sparse stages one surviving row per call.
+  /// folds away at the call site — FilterRows evaluates its later
+  /// stages one surviving row per call.
   void EvaluateBoundRows(const ColumnStore& store, size_t begin, size_t end,
                          SupportPair* out) const;
   SupportPair EvaluateBoundPair(const ColumnStore& left, size_t lrow,

@@ -10,8 +10,7 @@
 namespace evident {
 
 Result<std::vector<uint8_t>> PruneAndVerifyPartitions(
-    const ColumnStore& store,
-    const std::function<bool(const ColumnStore::PartitionZone&)>& refutes) {
+    const ColumnStore& store, const std::vector<uint8_t>& refuted) {
   const std::vector<ColumnStore::PartitionZone>& parts = store.partitions();
   if (parts.empty()) {
     EVIDENT_RETURN_NOT_OK(store.EnsureAllVerified());
@@ -20,7 +19,7 @@ Result<std::vector<uint8_t>> PruneAndVerifyPartitions(
   std::vector<uint8_t> row_pruned;
   size_t pruned = 0;
   for (size_t p = 0; p < parts.size(); ++p) {
-    if (refutes(parts[p])) {
+    if (refuted[p]) {
       if (row_pruned.empty()) row_pruned.assign(store.rows(), 0);
       for (size_t r = parts[p].begin_row; r < parts[p].end_row; ++r) {
         row_pruned[r] = 1;

@@ -146,8 +146,9 @@ class ColumnStore {
   /// element-wise, packed focal spans are repacked with rebased offsets,
   /// boxed sets are shared. The row-subset primitive of the columnar
   /// operators (Select's keep list, the pushdown prefilter, Intersect's
-  /// merged rows — identity `attr_indices`) and of the fused pipeline
-  /// executor, which filters and projects in the same single splice.
+  /// merged rows, the ranked ORDER BY / LIMIT copy — identity
+  /// `attr_indices`) and of the fused pipeline executor, which filters
+  /// and projects in the same single splice.
   static ColumnStore SpliceRows(const ColumnStore& src, SchemaPtr schema,
                                 std::string name,
                                 const std::vector<size_t>& attr_indices,
@@ -361,9 +362,9 @@ class ColumnStore {
   LazyValue<TableStatistics> statistics_;
 };
 
-/// \brief The scan-side pruning primitive shared by the columnar
-/// operators and the fused-pipeline executor: returns a per-row bitmap
-/// marking every row of a partition `refutes` rejects — empty when no
+/// \brief The scan-side pruning primitive of FilterRows: given one flag
+/// per partition (1 = refuted, see RefutedPartitions), returns a per-row
+/// bitmap marking every row of a refuted partition — empty when no
 /// partition was pruned, so the common monolithic case costs one branch.
 /// Each surviving partition's deferred (mapped-image) checks run on the
 /// way; a pruned partition's bytes are never read, so they are never
@@ -371,8 +372,7 @@ class ColumnStore {
 /// thread's PartitionScanStats. A store without partitions is fully
 /// verified and nothing is pruned.
 Result<std::vector<uint8_t>> PruneAndVerifyPartitions(
-    const ColumnStore& store,
-    const std::function<bool(const ColumnStore::PartitionZone&)>& refutes);
+    const ColumnStore& store, const std::vector<uint8_t>& refuted);
 
 /// \brief The surviving rows of a pruned scan as maximal contiguous
 /// absolute runs, derived from the partition boundaries in

@@ -76,15 +76,6 @@ Status GovernorAfterPass() {
   return Status::OK();
 }
 
-/// The first error of a morsel-parallel pass, in morsel order. Morsels
-/// are contiguous ascending row ranges and each stops at its first
-/// failing row, so this is the globally first failing row's error —
-/// identical to a serial run at any thread count.
-Status FirstMorselError(const std::vector<Status>& morsel_status) {
-  for (const Status& status : morsel_status) EVIDENT_RETURN_NOT_OK(status);
-  return Status::OK();
-}
-
 /// The key of row `row` as Values, for error messages.
 KeyVector KeyOfStoreRow(const ColumnStore& store, size_t row) {
   KeyVector key;
@@ -98,8 +89,8 @@ KeyVector KeyOfStoreRow(const ColumnStore& store, size_t row) {
 /// fresh column image carrying `memberships` (parallel to `keep`) under
 /// the same schema: ColumnStore::SpliceRows with the identity attribute
 /// map. The shared row-subset primitive of the columnar operators
-/// (Select's keep list, the pushdown prefilter, Intersect's merged
-/// rows).
+/// (Select's keep list, the pushdown prefilter, a fused probe's kept
+/// rows, Intersect's merged rows).
 ColumnStore SpliceKeptRows(const ColumnStore& store, std::string name,
                            const std::vector<uint32_t>& keep,
                            const std::vector<SupportPair>& memberships) {
@@ -109,169 +100,232 @@ ColumnStore SpliceKeptRows(const ColumnStore& store, std::string name,
                                  identity, keep, memberships);
 }
 
-/// Evaluates `bound` over the rows of [begin, end) whose partition was
-/// not pruned, in maximal contiguous runs; pruned rows' output slots
-/// stay unset and callers never read them. A refuted partition's rows
-/// would all evaluate to support (0, 0) and be dropped, so skipping
-/// them changes no output — it only keeps the scan from touching (and
-/// the mapped loader from verifying) the pruned partitions' bytes.
-/// Stops at the first failing row, leaving its error in `status` (an
-/// out-parameter, so the per-morsel probe loop holds no temporaries).
-void EvaluateUnprunedRows(const BoundPredicate& bound,
-                          const ColumnStore& store, size_t begin, size_t end,
-                          const std::vector<uint8_t>& row_pruned,
-                          SupportPair* out, Status* status) {
-  if (row_pruned.empty()) {
-    *status = bound.EvaluateColumns(store, begin, end, out);
-    return;
-  }
-  size_t r = begin;
-  while (r < end && status->ok()) {
-    if (row_pruned[r]) {
-      ++r;
-      continue;
-    }
-    size_t run = r + 1;
-    while (run < end && !row_pruned[run]) ++run;
-    *status = bound.EvaluateColumns(store, r, run, out);
-    r = run;
-  }
-}
-
-/// Evaluates `bound` over every unpruned row of `store` (the compacted
-/// run domain, morsel-parallel), writing supports[row] absolutely, and
-/// returns the first failing row's error. Runs and morsel boundaries
-/// are fixed, so the supports are identical for any thread count.
-Status EvaluateRuns(const BoundPredicate& bound, const ColumnStore& store,
-                    const std::vector<std::pair<size_t, size_t>>& runs,
-                    SupportPair* supports) {
-  size_t live = 0;
-  for (const auto& run : runs) live += run.second - run.first;
-  std::vector<Status> morsel_status(ParallelMorselCount(live, kParallelGrain));
-  ParallelForMorsels(
-      live, kParallelGrain,
-      [&](size_t morsel, size_t compact_begin, size_t compact_end) {
-        Status& status = morsel_status[morsel];
-        ForEachRunSlice(runs, compact_begin, compact_end,
-                        [&](size_t begin, size_t end) {
-                          if (status.ok()) {
-                            status = bound.EvaluateColumns(store, begin, end,
-                                                           supports);
-                          }
-                        });
-      });
-  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
-  return FirstMorselError(morsel_status);
-}
-
 }  // namespace
 
-/// Extended selection: the predicate is bound once (attribute positions,
-/// IS-masks, theta tables) and evaluated column-at-a-time over the
-/// packed evidence spans, morsel-parallel; the serial output pass
-/// filters in row order and splices the surviving rows' column slices
-/// into a fresh column image. A predicate that does not bind is
-/// interpreted per decoded row by the same call, so the first failing
-/// row's error is reported and an empty input evaluates nothing.
+FilterStage FilterStage::Select(const PredicatePtr& predicate,
+                                const SchemaPtr& schema,
+                                const MembershipThreshold& threshold) {
+  FilterStage stage;
+  stage.kind = Kind::kSelect;
+  if (predicate != nullptr) {
+    stage.conjuncts.push_back(BoundPredicate::Bind(predicate, schema));
+  }
+  stage.threshold = threshold;
+  return stage;
+}
+
+FilterStage FilterStage::Prefilter(const std::vector<PredicatePtr>& conjuncts,
+                                   const SchemaPtr& schema) {
+  FilterStage stage;
+  stage.kind = Kind::kPrefilter;
+  stage.conjuncts.reserve(conjuncts.size());
+  for (const PredicatePtr& conjunct : conjuncts) {
+    stage.conjuncts.push_back(BoundPredicate::Bind(conjunct, schema));
+  }
+  return stage;
+}
+
+bool FilterStage::fully_bound() const {
+  for (const BoundPredicate& conjunct : conjuncts) {
+    if (!conjunct.fully_bound()) return false;
+  }
+  return true;
+}
+
+std::vector<uint8_t> RefutedPartitions(const ColumnStore& store,
+                                       const std::vector<FilterStage>& stages,
+                                       bool governed) {
+  const std::vector<ColumnStore::PartitionZone>& parts = store.partitions();
+  std::vector<uint8_t> refuted(parts.size(), 0);
+  for (size_t s = 0; s < stages.size() && (s == 0 || !governed); ++s) {
+    // A stage that could fail must see every row, and so must the ones
+    // above it (they only see its survivors).
+    if (!stages[s].fully_bound()) break;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      for (const BoundPredicate& conjunct : stages[s].conjuncts) {
+        if (refuted[p]) break;
+        refuted[p] = conjunct.RefutesPartition(parts[p]);
+      }
+    }
+  }
+  return refuted;
+}
+
+Result<FilteredRows> FilterRows(const ColumnStore& store,
+                                const std::vector<FilterStage>& stages) {
+  QueryContext* const ctx = CurrentQueryContext();
+  EVIDENT_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> row_pruned,
+      PruneAndVerifyPartitions(
+          store, RefutedPartitions(store, stages, ctx != nullptr)));
+  // The morsel domain is the compacted unpruned row set, so a
+  // mostly-pruned scan costs O(surviving rows) per pass, not O(rows).
+  const std::vector<std::pair<size_t, size_t>> runs =
+      UnprunedRowRuns(store, row_pruned);
+  size_t live = 0;
+  for (const auto& run : runs) live += run.second - run.first;
+
+  // Each morsel keeps its survivors (ascending); `memberships` is
+  // parallel to `rows` once a select stage revised them (a prefilter
+  // leaves the store's untouched). `failed_conjunct` numbers the failing
+  // conjunct across all stages, so the lowest (stage, conjunct) is the
+  // smallest number.
+  struct MorselRows {
+    std::vector<uint32_t> rows;
+    std::vector<SupportPair> memberships;
+    bool revised = false;
+    std::vector<uint64_t> survivors;
+    size_t failed_conjunct = 0;
+    Status status;
+  };
+  std::vector<MorselRows> morsels(ParallelMorselCount(live, kParallelGrain));
+  // Absolute-indexed (EvaluateColumns writes supports[row]); morsels
+  // write disjoint rows.
+  std::vector<SupportPair> supports(store.rows());
+  ParallelForMorsels(live, kParallelGrain, [&](size_t morsel,
+                                               size_t compact_begin,
+                                               size_t compact_end) {
+    MorselRows& out = morsels[morsel];
+    std::vector<std::pair<size_t, size_t>> slices;
+    ForEachRunSlice(runs, compact_begin, compact_end,
+                    [&](size_t b, size_t e) { slices.emplace_back(b, e); });
+    std::vector<uint32_t>& rows = out.rows;
+    rows.reserve(compact_end - compact_begin);
+    for (const auto& [slice_begin, slice_end] : slices) {
+      for (size_t r = slice_begin; r < slice_end; ++r) {
+        rows.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    out.survivors.reserve(stages.size());
+    std::vector<uint8_t> dropped;
+    size_t conjunct_number = 0;
+    for (size_t s = 0; s < stages.size(); ++s) {
+      const FilterStage& stage = stages[s];
+      const bool select = stage.kind == FilterStage::Kind::kSelect;
+      if (!select) dropped.assign(rows.size(), 0);
+      for (const BoundPredicate& conjunct : stage.conjuncts) {
+        // Stage 0 sweeps the morsel's slices contiguously; later stages
+        // evaluate their survivors one row at a time, which is
+        // arithmetic-identical (see EvaluateColumns).
+        const size_t calls = s == 0 ? slices.size() : rows.size();
+        for (size_t c = 0; c < calls; ++c) {
+          const size_t begin = s == 0 ? slices[c].first : rows[c];
+          const size_t end = s == 0 ? slices[c].second : rows[c] + 1;
+          Status status =
+              conjunct.EvaluateColumns(store, begin, end, supports.data());
+          if (!status.ok()) {
+            out.failed_conjunct = conjunct_number;
+            out.status = std::move(status);
+            return;
+          }
+        }
+        ++conjunct_number;
+        if (select) continue;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (!supports[rows[i]].HasPositiveSupport()) dropped[i] = 1;
+        }
+      }
+      if (select && !out.revised) {
+        out.memberships.reserve(rows.size());
+        for (uint32_t r : rows) out.memberships.push_back(store.membership(r));
+        out.revised = true;
+      }
+      size_t kept = 0;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (select) {
+          // F_TM: predicate satisfaction and original membership are
+          // treated as independent events (Figure 3); then CWA_ER
+          // consistency and the threshold.
+          const SupportPair revised = out.memberships[i].Multiply(
+              stage.conjuncts.empty() ? SupportPair::Certain()
+                                      : supports[rows[i]]);
+          if (!revised.HasPositiveSupport() ||
+              !stage.threshold.Accepts(revised)) {
+            continue;
+          }
+          out.memberships[kept] = revised;
+        } else if (dropped[i]) {
+          continue;
+        } else if (out.revised) {
+          out.memberships[kept] = out.memberships[i];
+        }
+        rows[kept++] = rows[i];
+      }
+      rows.resize(kept);
+      if (out.revised) out.memberships.resize(kept);
+      out.survivors.push_back(kept);
+    }
+  });
+  EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
+  const MorselRows* first_failure = nullptr;
+  for (const MorselRows& morsel : morsels) {
+    if (!morsel.status.ok() &&
+        (first_failure == nullptr ||
+         morsel.failed_conjunct < first_failure->failed_conjunct)) {
+      first_failure = &morsel;
+    }
+  }
+  if (first_failure != nullptr) return first_failure->status;
+
+  FilteredRows filtered;
+  size_t total = 0;
+  for (const MorselRows& morsel : morsels) total += morsel.rows.size();
+  filtered.rows.reserve(total);
+  filtered.memberships.reserve(total);
+  filtered.stage_survivors.assign(stages.size(), 0);
+  for (const MorselRows& morsel : morsels) {
+    filtered.rows.insert(filtered.rows.end(), morsel.rows.begin(),
+                         morsel.rows.end());
+    if (morsel.revised) {
+      filtered.memberships.insert(filtered.memberships.end(),
+                                  morsel.memberships.begin(),
+                                  morsel.memberships.end());
+    } else {
+      for (uint32_t r : morsel.rows) {
+        filtered.memberships.push_back(store.membership(r));
+      }
+    }
+    for (size_t s = 0; s < stages.size(); ++s) {
+      filtered.stage_survivors[s] += morsel.survivors[s];
+    }
+  }
+  return filtered;
+}
+
 Result<ExtendedRelation> Select(const ExtendedRelation& input,
                                 const PredicatePtr& predicate,
                                 const MembershipThreshold& threshold) {
   if (predicate == nullptr) {
     return Status::InvalidArgument("null selection predicate");
   }
-  const BoundPredicate bound =
-      BoundPredicate::Bind(predicate, input.schema());
   const ColumnStore& store = input.columns();
-  // Zone-map pruning: a partition the predicate refutes contributes no
-  // output row (its supports would all be (0,0), dropped by CWA_ER), so
-  // its rows are neither evaluated nor verified.
   EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        return bound.RefutesPartition(zone);
-      }));
-  // Evaluate and filter over the unpruned runs only: the morsel domain
-  // is the compacted surviving row set, so a mostly-pruned scan costs
-  // O(surviving rows) per pass, not O(rows).
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  std::vector<SupportPair> supports(store.rows());
-  EVIDENT_RETURN_NOT_OK(EvaluateRuns(bound, store, runs, supports.data()));
-
-  std::vector<uint32_t> keep;
-  std::vector<SupportPair> revised_memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t i = run_begin; i < run_end; ++i) {
-      // F_TM: predicate satisfaction and original membership are treated
-      // as independent events (Figure 3).
-      const SupportPair revised = store.membership(i).Multiply(supports[i]);
-      if (!revised.HasPositiveSupport()) continue;  // CWA_ER consistency.
-      if (!threshold.Accepts(revised)) continue;
-      keep.push_back(static_cast<uint32_t>(i));
-      revised_memberships.push_back(revised);
-    }
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), keep.size()));
-
+      const FilteredRows kept,
+      FilterRows(store, {FilterStage::Select(predicate, input.schema(),
+                                             threshold)}));
+  EVIDENT_RETURN_NOT_OK(
+      GovernorChargeOutput(*input.schema(), kept.rows.size()));
   return ExtendedRelation::AdoptColumns(
-      SpliceKeptRows(store, "select(" + input.name() + ")", keep,
-                     revised_memberships));
+      SpliceKeptRows(store, "select(" + input.name() + ")", kept.rows,
+                     kept.memberships));
 }
 
-/// The pushdown prefilter: every conjunct is bound once and evaluated
-/// column-at-a-time, morsel-parallel; the survivors' column slices are
-/// spliced with their original memberships. Conjuncts evaluate in order
-/// over every unpruned row, so the error reported is the first failing
-/// conjunct's first failing row.
 Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input,
     const std::vector<PredicatePtr>& conjuncts) {
-  std::vector<BoundPredicate> bound;
-  bound.reserve(conjuncts.size());
   for (const PredicatePtr& conjunct : conjuncts) {
     if (conjunct == nullptr) {
       return Status::InvalidArgument("null prefilter conjunct");
     }
-    bound.push_back(BoundPredicate::Bind(conjunct, input.schema()));
   }
   const ColumnStore& store = input.columns();
-  const size_t n = input.size();
-  // Zone-map pruning: a partition some conjunct refutes would see that
-  // conjunct's support hit sn == 0 on every row, so every row is
-  // dropped — mark them up front and never evaluate (or verify) them.
-  // The conjunction decides, so nothing is skipped while any conjunct
-  // could still fail.
-  const BoundPredicate all =
-      BoundPredicate::Bind(And(conjuncts), input.schema());
   EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        return all.RefutesPartition(zone);
-      }));
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  std::vector<uint8_t> drop(n, 0);
-  std::vector<SupportPair> supports(n);
-  for (const BoundPredicate& conjunct : bound) {
-    EVIDENT_RETURN_NOT_OK(EvaluateRuns(conjunct, store, runs, supports.data()));
-    for (const auto& [run_begin, run_end] : runs) {
-      for (size_t i = run_begin; i < run_end; ++i) {
-        if (!supports[i].HasPositiveSupport()) drop[i] = 1;
-      }
-    }
-  }
-  std::vector<uint32_t> keep;
-  std::vector<SupportPair> memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t i = run_begin; i < run_end; ++i) {
-      if (drop[i]) continue;
-      keep.push_back(static_cast<uint32_t>(i));
-      memberships.push_back(store.membership(i));
-    }
-  }
-  EVIDENT_RETURN_NOT_OK(GovernorChargeOutput(*input.schema(), keep.size()));
+      const FilteredRows kept,
+      FilterRows(store, {FilterStage::Prefilter(conjuncts, input.schema())}));
+  EVIDENT_RETURN_NOT_OK(
+      GovernorChargeOutput(*input.schema(), kept.rows.size()));
   return ExtendedRelation::AdoptColumns(
-      SpliceKeptRows(store, input.name(), keep, memberships));
+      SpliceKeptRows(store, input.name(), kept.rows, kept.memberships));
 }
 
 Result<SupportPair> CombineMembership(const SupportPair& a,
@@ -1015,14 +1069,6 @@ bool StoreKeysEqual(const ColumnStore& a, size_t a_row,
   return true;
 }
 
-/// A fused join probe's prefilter conjuncts bound against the probe
-/// operand, plus their conjunction (the zone-map pruning test, which
-/// skips nothing while any conjunct could fail).
-struct ProbeFilter {
-  std::vector<BoundPredicate> conjuncts;
-  BoundPredicate all;
-};
-
 /// The hash equi-join. Three phases over the operands' column stores:
 ///
 ///  1. Build — an open-addressing table on the build operand's equi-key
@@ -1044,20 +1090,17 @@ struct ProbeFilter {
 /// chains ascending, morsels concatenated in order), so the result is
 /// deterministic for any thread count.
 ///
-/// `probe_filter` (may be null) is the fused-pipeline probe: prefilter
-/// conjuncts evaluated per probe morsel over the shared column image
-/// while the build table is warm; rows where any conjunct loses all
-/// support are never probed. Identical to probing
-/// FilterPositiveSupport(probe, conjuncts) — the same supports,
-/// survivors, charges and, should a conjunct fail, the same first error
-/// — without materializing the intermediate relation.
+/// `probe_rows` (may be null) restricts the probe to those ascending
+/// rows (a FusedJoinProbe): morsels are cut over the list exactly as
+/// over a materialized probe operand holding only those rows, so pairs,
+/// order and charges are identical to probing that operand.
 Result<ExtendedRelation> HashEquiJoin(const ExtendedRelation& left,
                                       const ExtendedRelation& right,
                                       const JoinPlan& plan,
                                       const SchemaPtr& schema,
                                       const MembershipThreshold& threshold,
                                       const BoundPredicate* residual,
-                                      const ProbeFilter* probe_filter,
+                                      const std::vector<uint32_t>* probe_rows,
                                       bool build_left, std::string name) {
   const ColumnStore& lstore = left.columns();
   const ColumnStore& rstore = right.columns();
@@ -1065,18 +1108,10 @@ Result<ExtendedRelation> HashEquiJoin(const ExtendedRelation& left,
   const ColumnStore& build = build_left ? lstore : rstore;
   const ColumnStore& probe = build_left ? rstore : lstore;
   // The build pass hashes every build row, so the build image must be
-  // fully verified. The probe side prunes partition-at-a-time when it
-  // carries a fused prefilter: a partition the conjunction refutes would
-  // see every row's filter support hit sn == 0 — those rows are marked
-  // dropped up front and their bytes never touched (or verified).
+  // fully verified. Probe rows from FilterRows lie in partitions it
+  // already verified; the pruned ones are never touched.
   EVIDENT_RETURN_NOT_OK(build.EnsureAllVerified());
-  std::vector<uint8_t> probe_pruned;
-  if (probe_filter != nullptr) {
-    EVIDENT_ASSIGN_OR_RETURN(
-        probe_pruned, PruneAndVerifyPartitions(probe, [&](const auto& zone) {
-          return probe_filter->all.RefutesPartition(zone);
-        }));
-  } else {
+  if (probe_rows == nullptr) {
     EVIDENT_RETURN_NOT_OK(probe.EnsureAllVerified());
   }
   std::vector<size_t> build_indices, probe_indices;
@@ -1115,40 +1150,18 @@ Result<ExtendedRelation> HashEquiJoin(const ExtendedRelation& left,
     std::vector<uint32_t> pair_left, pair_right;
     std::vector<SupportPair> memberships;
   };
-  const size_t morsel_count =
-      ParallelMorselCount(probe.rows(), kParallelGrain);
+  const size_t probe_count =
+      probe_rows != nullptr ? probe_rows->size() : probe.rows();
+  const size_t morsel_count = ParallelMorselCount(probe_count, kParallelGrain);
   std::vector<MorselPairs> morsels(morsel_count);
-  const size_t filter_count =
-      probe_filter != nullptr ? probe_filter->conjuncts.size() : 0;
-  // Fused-probe scratch: morsels write disjoint absolute slices. Rows of
-  // pruned probe partitions start dropped — exactly the flag the refuted
-  // conjunct would have set — so the survivor charge below is unchanged.
-  // filter_status[c * morsel_count + m] is conjunct c's first error in
-  // morsel m, residual_status[m] the first residual error in morsel m.
-  std::vector<SupportPair> filter_supports(
-      probe_filter != nullptr ? probe.rows() : 0);
-  std::vector<uint8_t> filter_drop =
-      probe_pruned.empty()
-          ? std::vector<uint8_t>(probe_filter != nullptr ? probe.rows() : 0, 0)
-          : probe_pruned;
-  std::vector<Status> filter_status(filter_count * morsel_count);
+  // residual_status[m] is the first residual error in morsel m.
   std::vector<Status> residual_status(morsel_count);
   ParallelForMorsels(
-      probe.rows(), kParallelGrain,
+      probe_count, kParallelGrain,
       [&](size_t morsel, size_t begin, size_t end) {
         MorselPairs& out = morsels[morsel];
-        for (size_t c = 0; c < filter_count; ++c) {
-          Status* status = &filter_status[c * morsel_count + morsel];
-          EvaluateUnprunedRows(probe_filter->conjuncts[c], probe, begin, end,
-                               probe_pruned, filter_supports.data(), status);
-          if (!status->ok()) return;
-          for (size_t p = begin; p < end; ++p) {
-            if (filter_drop[p]) continue;
-            if (!filter_supports[p].HasPositiveSupport()) filter_drop[p] = 1;
-          }
-        }
-        for (size_t p = begin; p < end; ++p) {
-          if (probe_filter != nullptr && filter_drop[p]) continue;
+        for (size_t i = begin; i < end; ++i) {
+          const size_t p = probe_rows != nullptr ? (*probe_rows)[i] : i;
           const uint64_t h = StoreKeyHash(probe, p, probe_indices);
           size_t s = h & mask;
           uint32_t head = kEmpty;
@@ -1186,37 +1199,22 @@ Result<ExtendedRelation> HashEquiJoin(const ExtendedRelation& left,
             out.memberships.push_back(revised);
           }
         }
-        if (probe_filter == nullptr) {
-          // Incremental row-cap charge per morsel: the pair counts are
-          // thread-count invariant, so the cap trips (count-free message)
-          // identically. With a fused probe filter every charge is
-          // deferred to the post-pass block below, where the unfused
-          // filter-then-join sequence is replayed exactly. Errors are
-          // sticky; the post-pass check surfaces them.
-          if (QueryContext* const ctx = CurrentQueryContext()) {
-            (void)ctx->ChargeRows(out.pair_left.size());
-          }
+        // Incremental row-cap charge per morsel: the pair counts are
+        // thread-count invariant, so the cap trips (count-free message)
+        // identically. Errors are sticky; the post-pass check surfaces
+        // them.
+        if (QueryContext* const ctx = CurrentQueryContext()) {
+          (void)ctx->ChargeRows(out.pair_left.size());
         }
       });
   EVIDENT_RETURN_NOT_OK(GovernorAfterPass());
-  // The unfused plan runs the whole prefilter — conjunct by conjunct —
-  // before the join evaluates a single residual, so filter errors come
-  // first, in conjunct-then-row order.
-  EVIDENT_RETURN_NOT_OK(FirstMorselError(filter_status));
-  EVIDENT_RETURN_NOT_OK(FirstMorselError(residual_status));
+  // Morsels are ascending probe ranges and each stops at its first
+  // failing pair, so the first failing morsel holds the first failing
+  // pair — at any thread count.
+  for (const Status& status : residual_status) EVIDENT_RETURN_NOT_OK(status);
   size_t total = 0;
   for (const MorselPairs& morsel : morsels) total += morsel.pair_left.size();
   if (QueryContext* const ctx = CurrentQueryContext()) {
-    if (probe_filter != nullptr) {
-      // The unfused plan materializes FilterPositiveSupport(probe) and
-      // charges its survivors before the join's pair and memory charges;
-      // replay that exact sequence so fusing the probe never changes
-      // which limit trips (or its message).
-      uint64_t survivors = 0;
-      for (const uint8_t dropped : filter_drop) survivors += dropped == 0;
-      EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*probe.schema(), survivors));
-      EVIDENT_RETURN_NOT_OK(ctx->ChargeRows(total));
-    }
     EVIDENT_RETURN_NOT_OK(ctx->ChargeMemory(*schema, total));
   }
   std::vector<uint32_t> pair_left, pair_right;
@@ -1314,9 +1312,15 @@ Result<ExtendedRelation> JoinWithProductSchema(
         "a fused join probe requires an explicit build side");
   }
   const bool probe_is_left = build_side == JoinBuildSide::kRight;
+  const bool left_empty = fused_probe != nullptr && probe_is_left
+                              ? fused_probe->rows.empty()
+                              : left.empty();
+  const bool right_empty = fused_probe != nullptr && !probe_is_left
+                               ? fused_probe->rows.empty()
+                               : right.empty();
   ExtendedRelation out("select(" + left.name() + " x " + right.name() + ")",
                        schema);
-  if (left.empty() || right.empty()) {
+  if (left_empty || right_empty) {
     // The product is empty; selection over it never evaluates the
     // predicate, and neither do we.
     return out;
@@ -1336,12 +1340,17 @@ Result<ExtendedRelation> JoinWithProductSchema(
       static_cast<size_t>(std::numeric_limits<uint32_t>::max());
   if (plan.keys.empty() || !table_fits) {
     if (fused_probe != nullptr) {
-      // Filter the probe side exactly as the unfused plan would have,
-      // then join without fusion — identical semantics by construction.
-      EVIDENT_ASSIGN_OR_RETURN(
-          ExtendedRelation filtered,
-          FilterPositiveSupport(probe_is_left ? left : right,
-                                fused_probe->conjuncts));
+      // Materialize the probe side's kept rows, then join without
+      // fusion — the unfused plan by construction.
+      const ExtendedRelation& probe = probe_is_left ? left : right;
+      const ColumnStore& store = probe.columns();
+      std::vector<SupportPair> memberships;
+      memberships.reserve(fused_probe->rows.size());
+      for (uint32_t r : fused_probe->rows) {
+        memberships.push_back(store.membership(r));
+      }
+      const ExtendedRelation filtered = ExtendedRelation::AdoptColumns(
+          SpliceKeptRows(store, probe.name(), fused_probe->rows, memberships));
       return JoinWithProductSchema(probe_is_left ? filtered : left,
                                    probe_is_left ? right : filtered,
                                    predicate, threshold, std::move(schema),
@@ -1358,22 +1367,9 @@ Result<ExtendedRelation> JoinWithProductSchema(
     bound_residual =
         BoundPredicate::BindPair(plan.residual, schema, left.schema()->size());
   }
-  ProbeFilter probe_filter;
-  if (fused_probe != nullptr) {
-    const SchemaPtr& probe_schema = (probe_is_left ? left : right).schema();
-    for (const PredicatePtr& conjunct : fused_probe->conjuncts) {
-      if (conjunct == nullptr) {
-        return Status::InvalidArgument("null prefilter conjunct");
-      }
-      probe_filter.conjuncts.push_back(
-          BoundPredicate::Bind(conjunct, probe_schema));
-    }
-    probe_filter.all =
-        BoundPredicate::Bind(And(fused_probe->conjuncts), probe_schema);
-  }
   return HashEquiJoin(left, right, plan, schema, threshold,
                       plan.residual != nullptr ? &bound_residual : nullptr,
-                      fused_probe != nullptr ? &probe_filter : nullptr,
+                      fused_probe != nullptr ? &fused_probe->rows : nullptr,
                       build_left, out.name());
 }
 

@@ -1,16 +1,85 @@
 #ifndef EVIDENT_CORE_OPERATIONS_H_
 #define EVIDENT_CORE_OPERATIONS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "core/bound_predicate.h"
+#include "core/column_store.h"
 #include "core/extended_relation.h"
 #include "core/predicate.h"
 #include "core/threshold.h"
 #include "ds/combination.h"
 
 namespace evident {
+
+/// \brief One filter stage of FilterRows: a chain filter node compiled
+/// against the filtered store's schema.
+///
+/// A select stage is the paper's extended selection (§3.1) over one
+/// predicate, or none for a threshold-only selection (whose support
+/// factor is exactly (1,1)): the F_TM revision (membership times
+/// support), then the CWA_ER drop of a revised sn of 0, then the
+/// threshold Q. A prefilter stage is the optimizer's pushdown prefilter:
+/// it drops a row when any of its conjuncts gives sn == 0 and leaves the
+/// membership untouched.
+struct FilterStage {
+  enum class Kind { kSelect, kPrefilter };
+  Kind kind = Kind::kSelect;
+  /// The select's predicate (none for threshold-only) or the
+  /// prefilter's conjuncts, in order.
+  std::vector<BoundPredicate> conjuncts;
+  MembershipThreshold threshold;  // kSelect only
+
+  /// A select stage; `predicate` may be null (threshold-only).
+  static FilterStage Select(const PredicatePtr& predicate,
+                            const SchemaPtr& schema,
+                            const MembershipThreshold& threshold);
+  /// A prefilter stage; no conjunct may be null.
+  static FilterStage Prefilter(const std::vector<PredicatePtr>& conjuncts,
+                               const SchemaPtr& schema);
+
+  /// True when every conjunct binds completely: the stage cannot fail.
+  bool fully_bound() const;
+};
+
+/// \brief What FilterRows keeps.
+struct FilteredRows {
+  std::vector<uint32_t> rows;            // kept rows, ascending
+  std::vector<SupportPair> memberships;  // parallel to `rows`
+  std::vector<uint64_t> stage_survivors;  // rows leaving each stage
+};
+
+/// \brief Per partition of `store` (empty for a monolithic store), 1
+/// when zone maps prove that no row of the partition survives `stages`.
+/// A stage refutes a partition when it binds completely and one of its
+/// conjuncts is refuted by the zone map (BoundPredicate::
+/// RefutesPartition): every row's support there is (0, 0), so the row is
+/// dropped at that stage. A stage prunes only while no stage below it
+/// can fail, so pruning never hides an error. Governed, only stage 0
+/// prunes: a row a later stage refutes was counted as an earlier stage's
+/// survivor, and the governor's per-stage charges must not change.
+/// FilterRows, EXPLAIN's partition counts and the optimizer's
+/// cardinality cap all decide pruning here.
+std::vector<uint8_t> RefutedPartitions(const ColumnStore& store,
+                                       const std::vector<FilterStage>& stages,
+                                       bool governed);
+
+/// \brief The one filter kernel: evaluates `stages` in order over the
+/// rows of `store`, morsel-parallel.
+///
+/// Partitions RefutedPartitions rejects (governed when a query context
+/// is installed) are neither read nor verified. Stage 0 evaluates
+/// column-at-a-time over the unpruned rows; each later stage evaluates
+/// only the previous stage's survivors. Inside a stage the conjuncts
+/// evaluate in order over all of that stage's input rows. The first
+/// error is the one of the lowest (stage, conjunct), and within it the
+/// first failing row's. Output is bit-identical for any thread count.
+/// Charges nothing: callers charge their logical outputs.
+Result<FilteredRows> FilterRows(const ColumnStore& store,
+                                const std::vector<FilterStage>& stages);
 
 /// \brief Extended selection σ̃^Q_P (§3.1).
 ///
@@ -20,8 +89,8 @@ namespace evident {
 /// values are retained (the paper's departure from DeMichiel). Tuples
 /// whose revised sn is 0 are always dropped, keeping the result a valid
 /// extended relation under CWA_ER (the paper's consistency requirement on
-/// Q). A predicate error is the first failing row's; an empty input
-/// evaluates nothing.
+/// Q). FilterRows with one select stage: a predicate error is the first
+/// failing row's, and an empty input evaluates nothing.
 Result<ExtendedRelation> Select(const ExtendedRelation& input,
                                 const PredicatePtr& predicate,
                                 const MembershipThreshold& threshold =
@@ -41,9 +110,9 @@ Result<ExtendedRelation> Select(const ExtendedRelation& input,
 /// arithmetic bit-identical to the unoptimized plan (support factors
 /// multiply in their original order). The output keeps the input's
 /// *name* so product-schema qualification downstream is unchanged.
-/// Callers (the optimizer) only push conjuncts that bind completely, so
-/// evaluation cannot fail; should a conjunct fail, the error is the
-/// first failing conjunct's at its first failing row.
+/// FilterRows with one prefilter stage: each conjunct evaluates over
+/// every row, so an error is the first failing conjunct's at its first
+/// failing row.
 Result<ExtendedRelation> FilterPositiveSupport(
     const ExtendedRelation& input, const std::vector<PredicatePtr>& conjuncts);
 
@@ -185,19 +254,19 @@ Result<ExtendedRelation> Join(const ExtendedRelation& left,
 /// result, never its contents.
 enum class JoinBuildSide { kAuto, kLeft, kRight };
 
-/// \brief A join probe operand delivered as a fused pipeline stage
-/// instead of a materialized relation: the probe-side argument is the
-/// unfiltered (catalog) relation, and `conjuncts` are the prefilter
-/// conjuncts that would otherwise have produced an intermediate
-/// FilterPositiveSupport relation below the join. The probe loop
-/// evaluates them per probe morsel over the shared column image while
-/// the build table is warm and skips rows where any conjunct loses all
-/// support — the result is bit-identical to joining against the
-/// materialized prefilter output. Requires an explicit build side (the
-/// fused side must be the probe side, and kAuto's size heuristic would
-/// otherwise see the unfiltered cardinality).
+/// \brief A prefiltered join probe operand that was not materialized:
+/// the probe-side argument is the unfiltered (catalog) relation, and
+/// `rows` are the ascending rows of it that FilterRows kept for the
+/// prefilter below the join. The join probes only those rows, in order,
+/// and reads their cells and memberships from the unfiltered relation's
+/// column image, so the result is bit-identical to joining against the
+/// materialized FilterPositiveSupport output. The caller charges the
+/// prefilter's survivors, as the unfused plan would. Requires an
+/// explicit build side (the fused side must be the probe side, and
+/// kAuto's size heuristic would otherwise see the unfiltered
+/// cardinality).
 struct FusedJoinProbe {
-  std::vector<PredicatePtr> conjuncts;
+  std::vector<uint32_t> rows;
 };
 
 /// \brief Join for callers that already built the operands' product
@@ -206,9 +275,8 @@ struct FusedJoinProbe {
 /// Saves rebuilding the schema once per call — Join(l, r, p, q) is
 /// exactly this with a fresh schema. When `fused_probe` is non-null the
 /// probe-side operand (the side opposite `build_side`, which must not be
-/// kAuto) is prefiltered in the probe loop itself (see FusedJoinProbe);
-/// a join without an equi-conjunct materializes the prefilter first and
-/// behaves identically.
+/// kAuto) is restricted to its rows (see FusedJoinProbe); a join without
+/// an equi-conjunct splices those rows first and behaves identically.
 Result<ExtendedRelation> JoinWithProductSchema(
     const ExtendedRelation& left, const ExtendedRelation& right,
     const PredicatePtr& predicate, const MembershipThreshold& threshold,

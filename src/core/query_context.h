@@ -30,7 +30,7 @@ namespace evident {
 /// passes are parallel, and those accumulate monotone counts whose trip
 /// condition depends only on the totals). A memory-budget or row-cap
 /// error therefore carries the identical message across
-/// {row, columnar} × {fused} × thread counts. Deadline and cancellation
+/// {fused pipeline, operator chain} × thread counts. Deadline and cancellation
 /// errors are inherently timing-dependent; their messages are stable in
 /// form but not in *when* they fire.
 ///

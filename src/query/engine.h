@@ -75,17 +75,6 @@ class QueryEngine {
   void set_optimizer_enabled(bool enabled) { optimize_ = enabled; }
   bool optimizer_enabled() const { return optimize_; }
 
-  /// \brief Toggles pipeline fusion (on by default): after planning
-  /// (and optimizing, when enabled), Scan→Prefilter/Select/Project
-  /// chains whose predicates bind completely are lowered to single
-  /// fused nodes executed morsel-parallel over the catalog's shared
-  /// column image (see LowerToFusedPipelines). Fused and unfused plans
-  /// produce bit-identical result sets — enforced by the EQL fuzz
-  /// differential; the toggle is that differential's escape hatch and
-  /// shows the unfused plan shape in EXPLAIN.
-  void set_pipeline_fusion_enabled(bool enabled) { fuse_ = enabled; }
-  bool pipeline_fusion_enabled() const { return fuse_; }
-
   /// \brief Attaches a resource governor: every subsequent Execute /
   /// ExecuteParsed installs `context` (ScopedQueryContext), calls its
   /// BeginQuery(), and runs governed — deadline and cancellation polled
@@ -104,14 +93,13 @@ class QueryEngine {
   QueryContext* query_context() const { return context_; }
 
  private:
-  /// Builds the bound logical plan and, when enabled, optimizes it and
+  /// Builds the bound logical plan, optimizes it when enabled, and
   /// lowers fusible chains.
   Result<eql::LogicalPlan> Plan(const eql::ParsedQuery& query) const;
 
   const Catalog* catalog_;
   UnionOptions union_options_;
   bool optimize_ = true;
-  bool fuse_ = true;
   QueryContext* context_ = nullptr;  // not owned
 };
 

@@ -555,36 +555,31 @@ double EdgeDivisor(const PlanNode& node, const MultiJoinEdge& edge,
   return d == 0 ? 1.0 : static_cast<double>(d);
 }
 
-/// System-R meets the zone maps: when a filter sits directly on a
-/// partitioned scan, rows of partitions its conjuncts refute can never
-/// survive, so the unpruned row sum is a hard cap on the selectivity
-/// estimate. Returns SIZE_MAX (no cap) when the child is not a
-/// partitioned columnar scan.
-size_t UnprunedRowCap(const PlanNode* child,
-                      const std::vector<PredicatePtr>& conjuncts) {
+/// System-R meets the zone maps: when a filter node sits directly on a
+/// partitioned scan, rows of partitions it refutes can never survive, so
+/// the unpruned row sum is a hard cap on the selectivity estimate.
+/// Returns SIZE_MAX (no cap) when the child is not a partitioned
+/// columnar scan.
+size_t UnprunedRowCap(const PlanNode& filter) {
+  const PlanNode* child = filter.left.get();
   if (child == nullptr || child->op != PlanNode::Op::kScan ||
       child->rel == nullptr || child->rel->schema() == nullptr ||
       !child->rel->columnar_mode()) {
     return std::numeric_limits<size_t>::max();
   }
-  const auto& parts = child->rel->columns().partitions();
+  const ColumnStore& store = child->rel->columns();
+  const auto& parts = store.partitions();
   if (parts.empty()) return std::numeric_limits<size_t>::max();
-  std::vector<BoundPredicate> bound;
-  bound.reserve(conjuncts.size());
-  for (const PredicatePtr& conjunct : conjuncts) {
-    if (conjunct == nullptr) continue;
-    bound.push_back(BoundPredicate::Bind(conjunct, child->rel->schema()));
-  }
+  const SchemaPtr& schema = child->rel->schema();
+  const FilterStage stage =
+      filter.op == PlanNode::Op::kSelect
+          ? FilterStage::Select(filter.predicate, schema, filter.threshold)
+          : FilterStage::Prefilter(filter.conjuncts, schema);
+  const std::vector<uint8_t> refuted =
+      RefutedPartitions(store, {stage}, /*governed=*/false);
   size_t rows = 0;
-  for (const auto& zone : parts) {
-    bool refuted = false;
-    for (const BoundPredicate& b : bound) {
-      if (b.RefutesPartition(zone)) {
-        refuted = true;
-        break;
-      }
-    }
-    if (!refuted) rows += zone.end_row - zone.begin_row;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    if (!refuted[p]) rows += parts[p].end_row - parts[p].begin_row;
   }
   return rows;
 }
@@ -608,8 +603,7 @@ size_t AnnotateEstimates(PlanNode* node) {
           static_cast<double>(l) *
           PredicateSelectivity(node->left.get(), node->predicate) *
           ThresholdSelectivity(node->left.get(), node->threshold));
-      estimate = std::min(estimate,
-                          UnprunedRowCap(node->left.get(), {node->predicate}));
+      estimate = std::min(estimate, UnprunedRowCap(*node));
       break;
     case PlanNode::Op::kPrefilter: {
       double sel = 1.0;
@@ -617,8 +611,7 @@ size_t AnnotateEstimates(PlanNode* node) {
         sel *= ConjunctSelectivity(node->left.get(), conjunct);
       }
       estimate = ClampEstimate(static_cast<double>(l) * sel);
-      estimate = std::min(estimate,
-                          UnprunedRowCap(node->left.get(), node->conjuncts));
+      estimate = std::min(estimate, UnprunedRowCap(*node));
       break;
     }
     case PlanNode::Op::kProject:
@@ -800,7 +793,7 @@ bool TryFuseChain(PlanNodePtr& slot) {
   // Bottom-up: bind each stage against the scan schema, compose the
   // projection (current output attr -> scan position) and the output
   // name the unfused chain would produce.
-  std::vector<PlanNode::FusedStage> stages;
+  std::vector<FilterStage> stages;
   std::vector<size_t> projection(scan.schema->size());
   for (size_t a = 0; a < projection.size(); ++a) projection[a] = a;
   SchemaPtr current = scan.schema;
@@ -808,27 +801,16 @@ bool TryFuseChain(PlanNodePtr& slot) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const PlanNode& link = **it;
     switch (link.op) {
-      case PlanNode::Op::kPrefilter: {
-        for (const PredicatePtr& conjunct : link.conjuncts) {
-          PlanNode::FusedStage stage;
-          stage.bound = BoundPredicate::Bind(conjunct, scan.schema);
-          if (!stage.bound.fully_bound()) return false;
-          stages.push_back(std::move(stage));
-        }
-        break;
-      }
+      case PlanNode::Op::kPrefilter:
       case PlanNode::Op::kSelect: {
-        PlanNode::FusedStage stage;
-        stage.is_select = true;
-        stage.threshold = link.threshold;
-        if (link.predicate == nullptr) {
-          stage.trivial = true;  // threshold-only selection
-        } else {
-          stage.bound = BoundPredicate::Bind(link.predicate, scan.schema);
-          if (!stage.bound.fully_bound()) return false;
-        }
+        FilterStage stage =
+            link.op == PlanNode::Op::kSelect
+                ? FilterStage::Select(link.predicate, scan.schema,
+                                      link.threshold)
+                : FilterStage::Prefilter(link.conjuncts, scan.schema);
+        if (!stage.fully_bound()) return false;
         stages.push_back(std::move(stage));
-        name = "select(" + name + ")";
+        if (link.op == PlanNode::Op::kSelect) name = "select(" + name + ")";
         break;
       }
       case PlanNode::Op::kProject: {

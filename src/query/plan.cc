@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/parallel.h"
 #include "core/query_context.h"
 #include "integration/tuple_merger.h"
 #include "text/evidence_literal.h"
@@ -259,15 +258,11 @@ Result<LogicalPlan> BuildPlan(const ParsedQuery& query, const Catalog* catalog,
 
 namespace {
 
-/// Rows per fused-pipeline morsel — matches the relational operators'
-/// grain so scheduling behaviour is uniform across the executor.
-constexpr size_t kFusedMorselGrain = 256;
-
 /// A mapped column image defers its per-partition semantic checks until
 /// first read; any operator consuming a scan's rows must drive them
-/// first. The partition-granular readers (the fused pipeline, the fused
-/// join probe, the columnar select/prefilter) verify only the
-/// partitions they keep; every other consumer gets the full sweep here.
+/// first. FilterRows — under select, prefilter, fused pipelines and the
+/// fused join probe — verifies only the partitions it keeps; every other
+/// consumer gets the full sweep here.
 /// Row-mode relations never have checks pending, and columns() is not
 /// consulted for them (it would build the image).
 Status EnsureScanVerified(const ExtendedRelation& rel) {
@@ -277,226 +272,53 @@ Status EnsureScanVerified(const ExtendedRelation& rel) {
   return store.EnsureAllVerified();
 }
 
-/// Executes a kFused node: one morsel-parallel pass over the scan's
-/// shared column image evaluating every bound stage, then a single
-/// serial splice of the surviving rows' projected columns. No
-/// intermediate relation is built per chain node, and all morsel
-/// writes target disjoint absolute slices of shared arrays, so the
-/// output is bit-identical for any thread count — and bit-identical to
-/// executing the original chain: stage supports are evaluated by the
-/// same bound kernels in the same bottom-up order, membership revision
-/// multiplies the identical factors in the identical sequence, and the
-/// final splice visits survivors in ascending row order exactly like
-/// each chain operator's keep list would.
+/// Executes a kFused node: one FilterRows pass over the scan's shared
+/// column image, then one splice of the surviving rows' projected
+/// columns. Bit-identical to executing the chain it replaced: each
+/// stage is the chain node's operator kernel, and the splice visits the
+/// survivors in ascending row order like each operator's keep list.
 Result<ExtendedRelation> ExecuteFusedPipeline(const PlanNode& node) {
   const ColumnStore& store = node.rel->columns();
-  const size_t n = store.rows();
-  std::vector<uint8_t> keep(n);
-  std::vector<SupportPair> members(n);
-  std::vector<SupportPair> supports(n);
-  // Per-(morsel, stage) survivor counts, recorded only for governed
-  // queries: the post-pass walk below replays the unfused chain's
-  // per-operator output charges, so fusing never changes which resource
-  // limit trips or the error it reports.
-  QueryContext* const query_ctx = CurrentQueryContext();
-  const size_t stage_count = node.fused_stages.size();
-  // Zone-map pruning, decided on the calling thread before morsels are
-  // cut. A refuted row's support is (0,0) at the refuting stage, so it
-  // is dropped there no matter what earlier stages did — ungoverned
-  // queries prune on any stage's refutation. Governed queries prune on
-  // the first stage only: its drops happen before any survivor is
-  // counted, so the per-stage survivor counts replayed into the
-  // governor below stay identical to the unpruned execution's.
-  const size_t prunable_stages =
-      query_ctx != nullptr ? std::min<size_t>(stage_count, 1) : stage_count;
-  EVIDENT_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> row_pruned,
-      PruneAndVerifyPartitions(store, [&](const auto& zone) {
-        for (size_t s = 0; s < prunable_stages; ++s) {
-          const PlanNode::FusedStage& stage = node.fused_stages[s];
-          if (!stage.trivial && stage.bound.RefutesPartition(zone)) {
-            return true;
-          }
-        }
-        return false;
-      }));
-  // The morsel domain is the compacted unpruned row set: pruned
-  // partitions contribute no morsels, so a mostly-pruned scan costs
-  // O(surviving rows) per pass, not O(rows). Each morsel maps back to
-  // absolute row slices (ForEachRunSlice); the keep/members/supports
-  // arrays stay absolute-indexed, and a pruned row's keep slot simply
-  // stays 0 — exactly the flag its refuted stage would have cleared.
-  const std::vector<std::pair<size_t, size_t>> runs =
-      UnprunedRowRuns(store, row_pruned);
-  size_t live = 0;
-  for (const auto& run : runs) live += run.second - run.first;
-  const size_t morsel_count = ParallelMorselCount(live, kFusedMorselGrain);
-  std::vector<uint64_t> stage_survivors(
-      query_ctx != nullptr ? morsel_count * stage_count : 0, 0);
-  // The optimizer fuses only stages that bind completely, so evaluation
-  // cannot fail; should one, the morsel stops and the first failing
-  // morsel's error is reported.
-  std::vector<Status> morsel_status(morsel_count);
-  ParallelForMorsels(live, kFusedMorselGrain, [&](size_t morsel,
-                                                  size_t compact_begin,
-                                                  size_t compact_end) {
-    Status& status = morsel_status[morsel];
-    // This morsel's absolute row slices; every row in them is unpruned.
-    std::vector<std::pair<size_t, size_t>> slices;
-    ForEachRunSlice(runs, compact_begin, compact_end,
-                    [&](size_t b, size_t e) { slices.emplace_back(b, e); });
-    for (const auto& [slice_begin, slice_end] : slices) {
-      for (size_t r = slice_begin; r < slice_end; ++r) {
-        keep[r] = 1;
-        members[r] = store.membership(r);
-      }
-    }
-    // Applies `stage` to row r, whose support is supports[r] (ignored
-    // for trivial stages: a threshold-only selection's support factor
-    // is exactly (1,1)).
-    auto apply = [&](const PlanNode::FusedStage& stage, size_t r) {
-      const SupportPair support =
-          stage.trivial ? SupportPair::Certain() : supports[r];
-      if (stage.is_select) {
-        // F_TM revision + CWA_ER + threshold, as in Select.
-        const SupportPair revised = members[r].Multiply(support);
-        if (!revised.HasPositiveSupport() ||
-            !stage.threshold.Accepts(revised)) {
-          keep[r] = 0;
-        } else {
-          members[r] = revised;
-        }
-      } else if (!support.HasPositiveSupport()) {
-        keep[r] = 0;  // prefilter: drop only, membership untouched
-      }
-    };
-    // First stage sweeps the whole morsel contiguously; later stages
-    // evaluate only the survivors row-at-a-time (arithmetic-identical —
-    // see EvaluateColumns), so a selective first filter is not paid for
-    // again by every stage above it.
-    std::vector<uint32_t> alive;
-    bool dense = true;
-    for (size_t s = 0; s < node.fused_stages.size(); ++s) {
-      const PlanNode::FusedStage& stage = node.fused_stages[s];
-      if (dense) {
-        if (!stage.trivial) {
-          // The dense sweep runs only at the first stage, where every
-          // row of every slice is kept (pruned partitions never entered
-          // the morsel domain): evaluate each slice contiguously, so a
-          // pruned partition's bytes are never touched.
-          for (const auto& [slice_begin, slice_end] : slices) {
-            Status evaluated = stage.bound.EvaluateColumns(
-                store, slice_begin, slice_end, supports.data());
-            if (!evaluated.ok()) {
-              status = std::move(evaluated);
-              return;
-            }
-          }
-        }
-        for (const auto& [slice_begin, slice_end] : slices) {
-          for (size_t r = slice_begin; r < slice_end; ++r) {
-            if (keep[r]) apply(stage, r);
-          }
-        }
-        alive.reserve(compact_end - compact_begin);
-        for (const auto& [slice_begin, slice_end] : slices) {
-          for (size_t r = slice_begin; r < slice_end; ++r) {
-            if (keep[r]) alive.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        dense = false;
-      } else {
-        size_t out = 0;
-        for (uint32_t r : alive) {
-          if (!stage.trivial) {
-            Status evaluated =
-                stage.bound.EvaluateColumns(store, r, r + 1, supports.data());
-            if (!evaluated.ok()) {
-              status = std::move(evaluated);
-              return;
-            }
-          }
-          apply(stage, r);
-          if (keep[r]) alive[out++] = r;
-        }
-        alive.resize(out);
-      }
-      if (query_ctx != nullptr) {
-        stage_survivors[morsel * stage_count + s] = alive.size();
-      }
-    }
-  });
-  if (query_ctx != nullptr) {
-    // Workers stop claiming morsels once a limit trips, leaving later
-    // keep[] slots benignly zero — surface the sticky first error
-    // instead of splicing a truncated result.
-    if (query_ctx->failed()) return query_ctx->first_error();
-  }
-  for (const Status& status : morsel_status) EVIDENT_RETURN_NOT_OK(status);
-  if (query_ctx != nullptr) {
+  EVIDENT_ASSIGN_OR_RETURN(const FilteredRows kept,
+                           FilterRows(store, node.fused_stages));
+  if (QueryContext* const ctx = CurrentQueryContext()) {
     // Replay the unfused chain's charge sequence bottom-up (node.left is
-    // the topmost chain node): each fused-away filter stage charges its
-    // survivors against that chain node's schema, each interleaved
-    // projection charges the then-current row count against the
-    // projected schema — exactly what executing the chain would charge.
+    // the topmost chain node): each filter node charges its stage's
+    // survivors against its schema, each interleaved projection charges
+    // the then-current row count against the projected schema — exactly
+    // what executing the chain would charge, so fusing never changes
+    // which resource limit trips or the error it reports.
     std::vector<const PlanNode*> chain;
     for (const PlanNode* cur = node.left.get();
          cur != nullptr && cur->op != PlanNode::Op::kScan;
          cur = cur->left.get()) {
       chain.push_back(cur);
     }
-    uint64_t current = n;
-    size_t stage_idx = 0;
+    uint64_t current = store.rows();
+    size_t stage = 0;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       const PlanNode* cur = *it;
-      if ((cur->op == PlanNode::Op::kPrefilter ||
-           cur->op == PlanNode::Op::kSelect) &&
-          stage_idx < stage_count) {
-        uint64_t survivors = 0;
-        for (size_t m = 0; m < morsel_count; ++m) {
-          survivors += stage_survivors[m * stage_count + stage_idx];
-        }
-        ++stage_idx;
-        current = survivors;
+      if (cur->op != PlanNode::Op::kProject) {
+        current = kept.stage_survivors[stage++];
       }
-      EVIDENT_RETURN_NOT_OK(query_ctx->ChargeOutput(*cur->schema, current));
-    }
-  }
-  std::vector<uint32_t> kept;
-  std::vector<SupportPair> memberships;
-  for (const auto& [run_begin, run_end] : runs) {
-    for (size_t r = run_begin; r < run_end; ++r) {
-      if (!keep[r]) continue;
-      kept.push_back(static_cast<uint32_t>(r));
-      memberships.push_back(members[r]);
+      EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*cur->schema, current));
     }
   }
   return ExtendedRelation::AdoptColumns(
       ColumnStore::SpliceRows(store, node.schema, node.relation,
-                              node.fused_projection, kept, memberships));
+                              node.fused_projection, kept.rows,
+                              kept.memberships));
 }
 
-/// True when a kFused node is exactly a prefilter chain over its scan
-/// with the identity projection — the shape the hash join can consume
-/// as a FusedJoinProbe (same schema and rows as the catalog scan, drop
-/// flags only), letting the probe loop evaluate the conjuncts per probe
-/// morsel instead of materializing the prefiltered operand.
+/// True when a kFused node is exactly one prefilter over its scan (so
+/// its projection is the identity) — the shape the hash join can consume
+/// as a FusedJoinProbe (same schema and rows as the catalog scan, rows
+/// dropped only), letting the probe read the kept rows from the catalog
+/// image instead of a materialized prefilter output.
 bool IsFusedPrefilterOverScan(const PlanNode& fused) {
-  for (const PlanNode::FusedStage& stage : fused.fused_stages) {
-    if (stage.is_select) return false;
-  }
-  const PlanNode* chain = fused.left.get();
-  if (chain == nullptr || chain->op != PlanNode::Op::kPrefilter) return false;
-  const PlanNode* scan = chain->left.get();
-  if (scan == nullptr || scan->op != PlanNode::Op::kScan ||
-      scan->rel == nullptr || scan->schema == nullptr) {
-    return false;
-  }
-  if (fused.fused_projection.size() != scan->schema->size()) return false;
-  for (size_t a = 0; a < fused.fused_projection.size(); ++a) {
-    if (fused.fused_projection[a] != a) return false;
-  }
-  return true;
+  const PlanNode& chain = *fused.left;
+  return chain.op == PlanNode::Op::kPrefilter &&
+         chain.left->op == PlanNode::Op::kScan;
 }
 
 /// Executes the tree bottom-up. Scan nodes hand out the catalog relation
@@ -547,14 +369,12 @@ class PlanExecutor {
         return projected;
       }
       case PlanNode::Op::kJoin: {
-        // A fused prefilter-over-scan probe child is not executed as a
-        // node at all: the probe side stays the unfiltered catalog
-        // relation and the prefilter conjuncts ride into the probe loop
-        // (FusedJoinProbe), evaluated per probe morsel while the build
-        // table is warm — bit-identical to materializing the prefilter
-        // first. The build side must be explicit (the optimizer assigns
-        // one to every fully-bound join) so kAuto's run-time size
-        // comparison never sees the unfiltered cardinality.
+        // A fused prefilter-over-scan probe child is not spliced: its
+        // kept rows ride into the hash join as a FusedJoinProbe over the
+        // catalog relation — bit-identical to probing the materialized
+        // prefilter. The build side must be explicit (the optimizer
+        // assigns one to every fully-bound join) so kAuto's run-time
+        // size comparison never sees the unfiltered cardinality.
         if (node.build_side != JoinBuildSide::kAuto) {
           const bool probe_is_left = node.build_side == JoinBuildSide::kRight;
           const PlanNode* candidate =
@@ -562,20 +382,7 @@ class PlanExecutor {
           if (candidate != nullptr &&
               candidate->op == PlanNode::Op::kFused &&
               IsFusedPrefilterOverScan(*candidate)) {
-            const PlanNode& chain = *candidate->left;  // the kPrefilter
-            const ExtendedRelation* probe_rel = chain.left->rel;
-            EVIDENT_ASSIGN_OR_RETURN(
-                const ExtendedRelation* other,
-                Exec(probe_is_left ? *node.right : *node.left));
-            const ExtendedRelation* l = probe_is_left ? probe_rel : other;
-            const ExtendedRelation* r = probe_is_left ? other : probe_rel;
-            EVIDENT_ASSIGN_OR_RETURN(SchemaPtr product_schema,
-                                     MakeProductSchema(*l, *r));
-            const FusedJoinProbe fused{chain.conjuncts};
-            return JoinWithProductSchema(*l, *r, node.predicate,
-                                         node.threshold,
-                                         std::move(product_schema),
-                                         node.build_side, &fused);
+            return ExecFusedProbeJoin(node, *candidate, probe_is_left);
           }
         }
         EVIDENT_ASSIGN_OR_RETURN(const ExtendedRelation* l, Exec(*node.left));
@@ -640,6 +447,38 @@ class PlanExecutor {
   }
 
  private:
+  /// A join whose probe operand `fused` is a prefilter over a catalog
+  /// scan. The operands execute in plan order and the prefilter's
+  /// survivors are charged when FilterPositiveSupport would charge them,
+  /// so errors and governor trips match the unfused plan.
+  Result<ExtendedRelation> ExecFusedProbeJoin(const PlanNode& node,
+                                              const PlanNode& fused,
+                                              bool probe_is_left) {
+    const ExtendedRelation* probe_rel = fused.rel;
+    const ExtendedRelation* other = nullptr;
+    if (!probe_is_left) {
+      EVIDENT_ASSIGN_OR_RETURN(other, Exec(*node.left));
+    }
+    EVIDENT_ASSIGN_OR_RETURN(
+        FilteredRows kept,
+        FilterRows(probe_rel->columns(), fused.fused_stages));
+    if (QueryContext* const ctx = CurrentQueryContext()) {
+      EVIDENT_RETURN_NOT_OK(
+          ctx->ChargeOutput(*probe_rel->schema(), kept.rows.size()));
+    }
+    if (probe_is_left) {
+      EVIDENT_ASSIGN_OR_RETURN(other, Exec(*node.right));
+    }
+    const FusedJoinProbe probe{std::move(kept.rows)};
+    const ExtendedRelation* l = probe_is_left ? probe_rel : other;
+    const ExtendedRelation* r = probe_is_left ? other : probe_rel;
+    EVIDENT_ASSIGN_OR_RETURN(SchemaPtr product_schema,
+                             MakeProductSchema(*l, *r));
+    return JoinWithProductSchema(*l, *r, node.predicate, node.threshold,
+                                 std::move(product_schema), node.build_side,
+                                 &probe);
+  }
+
   std::deque<ExtendedRelation> results_;
 };
 
@@ -657,33 +496,33 @@ Result<ExtendedRelation> ExecutePlan(const LogicalPlan& plan) {
   }
   // ORDER BY sn/sp ranks the single result set by certainty; LIMIT
   // truncates after ranking (without ORDER BY it keeps input order).
-  std::vector<size_t> order(projected.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const ColumnStore& store = projected.columns();
+  std::vector<uint32_t> order(projected.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
   if (plan.order_by.field != OrderBy::Field::kNone) {
-    const ColumnStore& store = projected.columns();
     const ColumnSpan<double>& support =
         plan.order_by.field == OrderBy::Field::kSn ? store.sn() : store.sp();
     const bool desc = plan.order_by.descending;
     std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
+                     [&](uint32_t a, uint32_t b) {
                        return desc ? support[a] > support[b]
                                    : support[a] < support[b];
                      });
   }
-  const size_t keep = plan.limit == 0
-                          ? order.size()
-                          : std::min(plan.limit, order.size());
+  if (plan.limit != 0 && plan.limit < order.size()) order.resize(plan.limit);
   // The ranked copy is a real materialization; its size is identical in
   // every execution mode, so the charge is too.
   if (QueryContext* const ctx = CurrentQueryContext()) {
-    EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*projected.schema(), keep));
+    EVIDENT_RETURN_NOT_OK(ctx->ChargeOutput(*projected.schema(), order.size()));
   }
-  ExtendedRelation ranked(projected.name(), projected.schema());
-  ranked.Reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    EVIDENT_RETURN_NOT_OK(ranked.InsertUnchecked(projected.row(order[i])));
-  }
-  return ranked;
+  std::vector<size_t> identity(projected.schema()->size());
+  for (size_t a = 0; a < identity.size(); ++a) identity[a] = a;
+  std::vector<SupportPair> memberships;
+  memberships.reserve(order.size());
+  for (uint32_t r : order) memberships.push_back(store.membership(r));
+  return ExtendedRelation::AdoptColumns(
+      ColumnStore::SpliceRows(store, projected.schema(), projected.name(),
+                              identity, order, memberships));
 }
 
 namespace {
@@ -777,22 +616,16 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
       *os << "fused pipeline[" << node.fused_stages.size() << " stage(s), "
           << node.fused_projection.size() << " col(s)";
       // Zone-map verdicts are plan-time facts (the zones ride the
-      // catalog image, the stages are bound), so EXPLAIN can show
-      // exactly which partitions the scan will skip.
+      // catalog image, the stages are bound), so EXPLAIN shows exactly
+      // which partitions an ungoverned scan skips.
       if (node.rel != nullptr && node.rel->columnar_mode()) {
-        const auto& parts = node.rel->columns().partitions();
-        if (!parts.empty()) {
-          size_t pruned = 0;
-          for (const auto& zone : parts) {
-            for (const PlanNode::FusedStage& stage : node.fused_stages) {
-              if (!stage.trivial && stage.bound.RefutesPartition(zone)) {
-                ++pruned;
-                break;
-              }
-            }
-          }
-          *os << ", partitions=" << pruned << "/" << parts.size()
-              << " pruned";
+        const ColumnStore& store = node.rel->columns();
+        if (!store.partitions().empty()) {
+          const std::vector<uint8_t> refuted = RefutedPartitions(
+              store, node.fused_stages, /*governed=*/false);
+          *os << ", partitions="
+              << std::count(refuted.begin(), refuted.end(), 1) << "/"
+              << refuted.size() << " pruned";
         }
       }
       *os << "]";

@@ -337,11 +337,13 @@ struct Node {
     kMerge,
     kJoin,
     kProduct,
-    kRename
+    kRename,
+    kPrefilter
   };
   Op op;
   size_t left = 0, right = 0;  // slot indices
   PredicatePtr predicate;      // kSelect, kJoin
+  std::vector<PredicatePtr> conjuncts;    // kPrefilter
   MembershipThreshold threshold;
   UnionOptions options;                   // kUnion, kIntersect, kMerge
   std::vector<std::string> project_attrs; // kProject
@@ -359,6 +361,7 @@ const char* NodeOpName(Node::Op op) {
     case Node::Op::kJoin: return "join";
     case Node::Op::kProduct: return "product";
     case Node::Op::kRename: return "rename";
+    case Node::Op::kPrefilter: return "prefilter";
   }
   return "?";
 }
@@ -389,6 +392,9 @@ Result<ExtendedRelation> ExecuteReferenceNode(
     case Node::Op::kRename:
       return reference::RenameAttribute(slots[node.left], node.rename_from,
                                         node.rename_to);
+    case Node::Op::kPrefilter:
+      return reference::FilterPositiveSupport(slots[node.left],
+                                              node.conjuncts);
   }
   return Status::Internal("unreachable node op");
 }
@@ -415,6 +421,8 @@ Result<ExtendedRelation> ExecuteNode(
     case Node::Op::kRename:
       return RenameAttribute(slots[node.left], node.rename_from,
                              node.rename_to);
+    case Node::Op::kPrefilter:
+      return FilterPositiveSupport(slots[node.left], node.conjuncts);
   }
   return Status::Internal("unreachable node op");
 }
@@ -476,7 +484,7 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
     bool viable = false;
     for (int attempt = 0; attempt < 8 && !viable; ++attempt) {
       node = Node();
-      const size_t pick = rng.Below(11);
+      const size_t pick = rng.Below(12);
       node.left = rng.Below(slots.size());
       const ExtendedRelation& l = slots[node.left];
       if (pick == 10) {  // rename (schema-only; columnar adopts the image)
@@ -489,6 +497,15 @@ FuzzCase GenerateCase(uint64_t seed, bool big) {
         node.op = Node::Op::kRename;
         node.rename_from = from;
         node.rename_to = to;
+        viable = true;
+      } else if (pick == 11) {  // pushdown prefilter, called directly
+        // 1-3 conjuncts, interpreted ones (wide frames, missing
+        // attributes, constants outside the frame) included.
+        node.op = Node::Op::kPrefilter;
+        const size_t count = 1 + rng.Below(3);
+        for (size_t i = 0; i < count; ++i) {
+          node.conjuncts.push_back(RandomConjunct(&rng, *l.schema()));
+        }
         viable = true;
       } else if (pick < 3) {  // select
         node.op = Node::Op::kSelect;
@@ -898,13 +915,12 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
 
 // ---------------------------------------------------------------------------
 // Random EQL statements through the query engine, differential across
-// {optimized, unoptimized} x {fused, unfused} (+ a threaded fused mode)
-// against the reference evaluator over the unoptimized plan. Pushdown
-// must not change the result set by a single bit nor reorder which
-// error fires first; the optimizer may flip a join's hash build side,
-// which only permutes the (implementation-defined) row order, so
-// join-shaped statements compare as keyed sets and every other shape
-// compares with strict row order.
+// {optimized, unoptimized} (+ threaded modes) against the reference
+// evaluator over the unoptimized plan. Pushdown must not change the
+// result set by a single bit nor reorder which error fires first; the
+// optimizer may flip a join's hash build side, which only permutes the
+// (implementation-defined) row order, so join-shaped statements compare
+// as keyed sets and every other shape compares with strict row order.
 
 /// Attribute layout of one EQL-visible relation: a single int/string
 /// key, definite int attributes, uncertain attributes over small
@@ -999,24 +1015,19 @@ std::string RandomEqlConjunct(Rng* rng, const EqlRelationSpec& spec,
 TEST(FuzzDifferentialTest, EqlStatementsMatchReferenceAcrossOptimizerModes) {
   struct EqlMode {
     bool optimize;
-    bool fuse;
     size_t threads;
     const char* name;
     /// Mode index whose result must match with strict row order (same
-    /// plan, different threading/fusion); -1 is the reference evaluator
-    /// (the same, unoptimized, plan); -2 none (an optimized plan may
-    /// flip build sides).
+    /// plan, different threading); -1 is the reference evaluator (the
+    /// same, unoptimized, plan); -2 none (an optimized plan may flip
+    /// build sides).
     int strict_against;
   };
   static constexpr EqlMode kEqlModes[] = {
-      {false, false, 1, "unopt", -1},
-      {false, false, 7, "unopt/t7", -1},
-      // The set_pipeline_fusion_enabled(false) escape hatch executes the
-      // unfused plan; the fused modes below must match it row-for-row,
-      // bit-for-bit.
-      {true, false, 1, "opt/nofuse", -2},
-      {true, true, 1, "opt/fused", 2},
-      {true, true, 7, "opt/fused/t7", 3},
+      {false, 1, "unopt", -1},
+      {false, 7, "unopt/t7", -1},
+      {true, 1, "opt/fused", -2},
+      {true, 7, "opt/fused/t7", 2},
   };
 
   const size_t cases = std::max<size_t>(FuzzCases() / 2, 50);
@@ -1179,7 +1190,6 @@ TEST(FuzzDifferentialTest, EqlStatementsMatchReferenceAcrossOptimizerModes) {
       SetParallelMaxThreads(mode.threads);
       QueryEngine engine(&catalog);
       engine.set_optimizer_enabled(mode.optimize);
-      engine.set_pipeline_fusion_enabled(mode.fuse);
       outcomes.push_back(engine.Execute(stmt));
     }
     RestoreDefaults();

@@ -2,7 +2,7 @@
 // memory budgets and row caps threaded through the engine — and the
 // robustness contract around them. A tripped limit must surface as one
 // deterministic ExecError whose message is identical across
-// {fused, unfused} x thread counts, and the engine,
+// thread counts, and the engine,
 // worker pool and shared catalog images must stay fully usable: the next
 // query on the same engine returns exactly what a fresh engine returns.
 #include "core/query_context.h"
@@ -18,10 +18,12 @@
 #include "common/domain.h"
 #include "core/column_store.h"
 #include "core/operations.h"
-#include "reference_algebra.h"
 #include "core/parallel.h"
+#include "core/scan_stats.h"
 #include "query/engine.h"
+#include "reference_algebra.h"
 #include "storage/catalog.h"
+#include "storage/erel_format.h"
 
 namespace evident {
 namespace {
@@ -74,6 +76,7 @@ void RegisterPair(Catalog* catalog) {
 /// into D1 and D2, FROM-ordered so the naive (optimizer-off) enumeration
 /// crosses the two dimensions before any equi edge applies — the shape a
 /// deadline must be able to cut short from inside the enumeration loops.
+/// F's definite fv (i % 64) carries range prefilters.
 void RegisterStar(Catalog* catalog, size_t n) {
   const int64_t dim = static_cast<int64_t>(n / 4);
   DomainPtr domain =
@@ -102,13 +105,14 @@ void RegisterStar(Catalog* catalog, size_t n) {
       RelationSchema::Make({AttributeDef::Key("fk"),
                             AttributeDef::Definite("d1key"),
                             AttributeDef::Definite("d2key"),
+                            AttributeDef::Definite("fv"),
                             AttributeDef::Uncertain("fu", domain)})
           .value();
   ExtendedRelation fact("F", fact_schema);
   for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
     ExtendedTuple t;
     t.cells = {Value(i), Value(i % dim), Value((i * 7 + 3) % dim),
-               Singleton(domain, static_cast<size_t>(i) % 4)};
+               Value(i % 64), Singleton(domain, static_cast<size_t>(i) % 4)};
     t.membership = SupportPair::Certain();
     ASSERT_TRUE(fact.InsertTrusted(std::move(t)).ok());
   }
@@ -129,19 +133,10 @@ class ModeGuard {
 };
 
 struct Mode {
-  bool fused;
   size_t threads;
 };
 
-std::vector<Mode> AllModes() {
-  std::vector<Mode> modes;
-  for (bool fused : {false, true}) {
-    for (size_t threads : {size_t{1}, size_t{7}}) {
-      modes.push_back({fused, threads});
-    }
-  }
-  return modes;
-}
+std::vector<Mode> AllModes() { return {{1}, {7}}; }
 
 /// Runs `query` governed by `ctx` under one mode combination.
 Result<ExtendedRelation> RunGoverned(const Catalog& catalog,
@@ -150,7 +145,6 @@ Result<ExtendedRelation> RunGoverned(const Catalog& catalog,
                                      const Mode& mode) {
   SetParallelMaxThreads(mode.threads);
   QueryEngine engine(&catalog);
-  engine.set_pipeline_fusion_enabled(mode.fused);
   engine.set_query_context(ctx);
   return engine.Execute(query);
 }
@@ -221,13 +215,13 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
   // Measure the exact charge total in one mode...
   QueryContext probe;
   ASSERT_TRUE(
-      RunGoverned(catalog, &probe, kJoinQuery, {false, 1}).ok());
+      RunGoverned(catalog, &probe, kJoinQuery, {1}).ok());
   const uint64_t bytes = probe.bytes_charged();
   const uint64_t rows = probe.rows_charged();
   ASSERT_GT(bytes, 0u);
   // ... and that exact total must be enough in every other mode: the
-  // logical-charge model bills identical totals regardless of fusion and
-  // thread count.
+  // logical-charge model bills identical totals regardless of thread
+  // count.
   QueryContext ctx;
   ctx.set_memory_budget(bytes);
   ctx.set_row_cap(rows);
@@ -236,6 +230,114 @@ TEST(GovernorTest, BudgetSufficientInOneModeSufficesInAll) {
     EXPECT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(ctx.bytes_charged(), bytes);
     EXPECT_EQ(ctx.rows_charged(), rows);
+  }
+}
+
+/// `root` — a join or multijoin whose operands are catalog scans or
+/// fused prefilters over them — run one operator at a time under `ctx`:
+/// FilterPositiveSupport for each fused operand, then the join.
+Result<ExtendedRelation> RunOperatorAtATime(const eql::PlanNode& root,
+                                            QueryContext* ctx) {
+  using Op = eql::PlanNode::Op;
+  ctx->BeginQuery();
+  ScopedQueryContext scope(ctx);
+  auto operand = [](const eql::PlanNode& node) -> Result<ExtendedRelation> {
+    if (node.op == Op::kScan) return *node.rel;
+    const eql::PlanNode* prefilter = node.left.get();
+    if (node.op != Op::kFused || prefilter->op != Op::kPrefilter ||
+        prefilter->left->op != Op::kScan) {
+      return Status::Internal("unexpected operand shape");
+    }
+    return FilterPositiveSupport(*prefilter->left->rel, prefilter->conjuncts);
+  };
+  if (root.op == Op::kMultiJoin) {
+    std::vector<ExtendedRelation> inputs;
+    for (const auto& node : root.operands) {
+      EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation input, operand(*node));
+      inputs.push_back(std::move(input));
+    }
+    std::vector<const ExtendedRelation*> operands;
+    for (const ExtendedRelation& input : inputs) operands.push_back(&input);
+    return MultiwayJoinProduct(operands, root.schema, root.predicate,
+                               root.threshold, root.join_order);
+  }
+  if (root.op != Op::kJoin) return Status::Internal("unexpected root");
+  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation l, operand(*root.left));
+  EVIDENT_ASSIGN_OR_RETURN(ExtendedRelation r, operand(*root.right));
+  return Join(l, r, root.predicate, root.threshold);
+}
+
+TEST(GovernorTest, FusedPrefilterChargesEqualTheOperatorChain) {
+  ModeGuard guard;
+  Catalog catalog;
+  RegisterPair(&catalog);
+  RegisterStar(&catalog, 4096);
+  // A two-conjunct range prefilter on a star operand, and on the build
+  // side of a binary join (about 10 estimated rows of L against R's 48).
+  const std::string queries[] = {
+      "SELECT * FROM D1, D2, F WHERE d1key = d1k AND d2key = d2k AND "
+      "fv >= 10 AND fv < 20",
+      "SELECT * FROM L JOIN R WHERE lk = rk AND ld >= 2 AND ld < 4",
+  };
+  for (const std::string& query : queries) {
+    QueryEngine engine(&catalog);
+    auto explained = engine.Explain(query);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    ASSERT_NE(explained->find("fused pipeline["), std::string::npos)
+        << *explained;
+    auto plan = engine.Prepare(query);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    QueryContext chain;
+    auto expected = RunOperatorAtATime(*(*plan)->root, &chain);
+    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+
+    // The chain's exact totals are enough for the fused plan: it charges
+    // the same rows and bytes, so no limit trips.
+    QueryContext ctx;
+    ctx.set_row_cap(chain.rows_charged());
+    ctx.set_memory_budget(chain.bytes_charged());
+    for (const Mode& mode : AllModes()) {
+      auto got = RunGoverned(catalog, &ctx, query, mode);
+      ASSERT_TRUE(got.ok()) << query << ": " << got.status();
+      EXPECT_TRUE(got->ApproxEquals(*expected, 0.0)) << query;
+      EXPECT_EQ(ctx.rows_charged(), chain.rows_charged()) << query;
+      EXPECT_EQ(ctx.bytes_charged(), chain.bytes_charged()) << query;
+    }
+  }
+}
+
+TEST(GovernorTest, GovernedScansPruneLikeUngovernedScans) {
+  ModeGuard guard;
+  Catalog catalog;
+  RegisterStar(&catalog, 4096);
+  auto mono = ReadErel(WriteErelColumnImageV3(catalog));
+  auto ranges = ReadErel(WriteErelColumnImageV3(
+      catalog, PartitionSpec{PartitionSpec::Scheme::kKeyRange, 8}));
+  ASSERT_TRUE(mono.ok()) << mono.status();
+  ASSERT_TRUE(ranges.ok()) << ranges.status();
+
+  // F's keys split 512 per partition; only [1024, 1536) can hold a row.
+  const std::string query =
+      "SELECT * FROM D1, D2, F WHERE d1key = d1k AND d2key = d2k AND "
+      "fk >= 1100 AND fk < 1200";
+  auto expected = QueryEngine(&*mono).Execute(query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_GT(expected->size(), 0u);
+  QueryEngine engine(&*ranges);
+  auto explained = engine.Explain(query);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->find("partitions=7/8 pruned"), std::string::npos)
+      << *explained;
+  QueryContext ctx;
+  for (QueryContext* governor : {static_cast<QueryContext*>(nullptr), &ctx}) {
+    engine.set_query_context(governor);
+    ResetScanStats();
+    auto got = engine.Execute(query);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(CurrentScanStats().partitions_considered, 8u);
+    EXPECT_EQ(CurrentScanStats().partitions_pruned, 7u)
+        << (governor != nullptr ? "governed" : "ungoverned");
+    EXPECT_TRUE(got->ApproxEquals(*expected, 0.0));
   }
 }
 

@@ -162,12 +162,12 @@ TEST(ThreadsScalingSmokeTest, FusedSkewedJoinIsBitIdenticalAcrossThreads) {
   ASSERT_TRUE(catalog.RegisterRelation(std::move(r)).ok());
 
   // The single-side conjunct is pushed below the join as a prefilter and
-  // fused, so the probe loop consumes the fused pipeline directly; the
-  // equi-join on the skewed ld drives the morsel-scheduled probe.
+  // fused, so the probe reads the prefilter's kept rows straight from
+  // the catalog image; the equi-join on the skewed ld drives the
+  // morsel-scheduled probe.
   const std::string stmt =
       "SELECT * FROM L JOIN R WHERE ld = rd AND lu IS {a0, a1, a2}";
   QueryEngine engine(&catalog);
-  ASSERT_TRUE(engine.pipeline_fusion_enabled());
   auto plan = engine.Explain(stmt);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_NE(plan->find("fused pipeline"), std::string::npos) << *plan;

@@ -83,10 +83,10 @@ class PlanTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RegisterRelation(std::move(s)).ok());
   }
 
-  /// Runs `eql` under {optimizer on, off} x {fusion on, off} and
-  /// asserts all four agree exactly with the reference evaluator over
-  /// the unoptimized plan (as keyed sets — the optimizer may pick a
-  /// different hash build side, which only permutes rows).
+  /// Runs `eql` with the optimizer on and off and asserts both agree
+  /// exactly with the reference evaluator over the unoptimized plan (as
+  /// keyed sets — the optimizer may pick a different hash build side,
+  /// which only permutes rows).
   void ExpectAllModesAgree(const std::string& eql) {
     QueryEngine planner(&catalog_);
     planner.set_optimizer_enabled(false);
@@ -95,17 +95,13 @@ class PlanTest : public ::testing::Test {
     auto b = reference::ExecutePlan(**plan);
     ASSERT_TRUE(b.ok()) << eql << ": " << b.status();
     for (bool optimize : {true, false}) {
-      for (bool fuse : {true, false}) {
-        QueryEngine engine(&catalog_);
-        engine.set_optimizer_enabled(optimize);
-        engine.set_pipeline_fusion_enabled(fuse);
-        auto a = engine.Execute(eql);
-        ASSERT_TRUE(a.ok()) << eql << ": " << a.status();
-        EXPECT_TRUE(a->ApproxEquals(*b, 0.0))
-            << eql << " (optimize=" << optimize << ", fuse=" << fuse
-            << ")\ngot:\n"
-            << a->ToString() << "reference:\n" << b->ToString();
-      }
+      QueryEngine engine(&catalog_);
+      engine.set_optimizer_enabled(optimize);
+      auto a = engine.Execute(eql);
+      ASSERT_TRUE(a.ok()) << eql << ": " << a.status();
+      EXPECT_TRUE(a->ApproxEquals(*b, 0.0))
+          << eql << " (optimize=" << optimize << ")\ngot:\n"
+          << a->ToString() << "reference:\n" << b->ToString();
     }
   }
 
@@ -121,11 +117,8 @@ TEST_F(PlanTest, PushesSelectionBelowJoinAsPrefilter) {
   // The single-side conjunct is prefiltered below the join (the join
   // keeps it for the membership arithmetic); the shrunken left side
   // (40/distinct(ld) = 5 < 12) flips the build side to the left
-  // operand. The
-  // prefilter-over-scan chain is lowered to a fused pipeline (rendered
-  // above the chain it replaced), which the probe loop consumes
-  // directly: the probe side stays the catalog relation and the
-  // conjunct is evaluated per probe morsel.
+  // operand. The prefilter-over-scan chain is lowered to a fused
+  // pipeline (rendered above the chain it replaced).
   EXPECT_EQ(*plan,
             "join[(lk = rk) and (ld = 3); Q: true; build=left; ~1 rows]\n"
             "  fused pipeline[1 stage(s), 3 col(s)]\n"
