@@ -10,10 +10,9 @@
 //   \explain <eql>          show the query plan
 //   \load <path>            load an .erel file (reports mapped/copied)
 //   \save <path> [hash|range <P>]
-//                           save the catalog as .erel: v1 text when every
-//                           relation is a row store, else a monolithic v3
-//                           column image; with a scheme and partition
-//                           count, a partitioned v3 image
+//                           save the catalog as a v3 column image:
+//                           monolithic, or with a scheme and partition
+//                           count, partitioned
 //   \deadline <ms>          per-query deadline in milliseconds (0 = off)
 //   \budget <bytes>         per-query memory budget (0 = unlimited)
 //   \rowcap <rows>          per-query output row cap (0 = unlimited)
@@ -178,14 +177,11 @@ int main(int argc, char** argv) {
       // "\save <path>" or "\save <path> hash|range <P>".
       const std::string rest = Trim(input.substr(6));
       const size_t space = rest.find(' ');
-      Status st;
-      if (space == std::string::npos) {
-        st = SaveErelFile(catalog, rest);
-      } else {
-        const std::string path = rest.substr(0, space);
+      const std::string path = rest.substr(0, space);
+      PartitionSpec spec;
+      if (space != std::string::npos) {
         const std::string spec_text = Trim(rest.substr(space + 1));
         const size_t spec_space = spec_text.find(' ');
-        PartitionSpec spec;
         uint64_t parts = 0;
         if (spec_space == std::string::npos ||
             !ParseLimit(Trim(spec_text.substr(spec_space + 1)), &parts) ||
@@ -204,8 +200,8 @@ int main(int argc, char** argv) {
           continue;
         }
         spec.partitions = static_cast<uint32_t>(parts);
-        st = SaveErelFile(catalog, path, spec);
       }
+      const Status st = SaveErelFile(catalog, path, spec);
       std::printf("%s\n", st.ToString().c_str());
       continue;
     }

@@ -55,79 +55,6 @@ std::vector<std::pair<size_t, size_t>> UnprunedRowRuns(
   return runs;
 }
 
-ColumnStore ColumnStore::FromRows(SchemaPtr schema, std::string name,
-                                  const std::vector<ExtendedTuple>& tuples) {
-  ColumnStore store;
-  store.schema_ = std::move(schema);
-  store.name_ = std::move(name);
-  const size_t rows = tuples.size();
-  const size_t attrs = store.schema_ != nullptr ? store.schema_->size() : 0;
-  store.kinds_.resize(attrs);
-  store.slots_.resize(attrs);
-
-  for (size_t a = 0; a < attrs; ++a) {
-    const AttributeDef& attr = store.schema_->attribute(a);
-    if (attr.kind != AttributeKind::kUncertain) {
-      store.kinds_[a] = ColumnKind::kValue;
-      store.slots_[a] = static_cast<uint32_t>(store.value_columns_.size());
-      ValueColumn col;
-      col.values.reserve(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        col.values.push_back(std::get<Value>(tuples[r].cells[a]));
-      }
-      store.value_columns_.push_back(std::move(col));
-      continue;
-    }
-    if (attr.domain->size() > ValueSet::kMaxInlineUniverse) {
-      store.kinds_[a] = ColumnKind::kBoxed;
-      store.slots_[a] = static_cast<uint32_t>(store.boxed_columns_.size());
-      BoxedColumn col;
-      col.sets.reserve(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        col.sets.push_back(std::get<EvidenceSet>(tuples[r].cells[a]));
-      }
-      store.boxed_columns_.push_back(std::move(col));
-      continue;
-    }
-    store.kinds_[a] = ColumnKind::kEvidence;
-    store.slots_[a] = static_cast<uint32_t>(store.evidence_columns_.size());
-    EvidenceColumn col;
-    col.domain = attr.domain;
-    col.universe = attr.domain->size();
-    size_t total_focals = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      total_focals +=
-          std::get<EvidenceSet>(tuples[r].cells[a]).mass().FocalCount();
-    }
-    // Spans are addressed with 32-bit offsets; a column with 2^32 focal
-    // elements (> 64 GiB packed) exhausts memory long before this, so
-    // the limit fails loudly instead of wrapping offsets silently.
-    if (total_focals > std::numeric_limits<uint32_t>::max()) std::abort();
-    col.words.reserve(total_focals);
-    col.masses.reserve(total_focals);
-    col.offsets.reserve(rows + 1);
-    col.offsets.push_back(0);
-    for (size_t r = 0; r < rows; ++r) {
-      const MassFunction& mass =
-          std::get<EvidenceSet>(tuples[r].cells[a]).mass();
-      for (const auto& [set, m] : mass.focals()) {
-        col.words.push_back(set.InlineWord());
-        col.masses.push_back(m);
-      }
-      col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
-    }
-    store.evidence_columns_.push_back(std::move(col));
-  }
-
-  store.sn_.reserve(rows);
-  store.sp_.reserve(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    store.sn_.push_back(tuples[r].membership.sn);
-    store.sp_.push_back(tuples[r].membership.sp);
-  }
-  return store;
-}
-
 ColumnStore ColumnStore::EmptyLike(SchemaPtr schema, std::string name) {
   ColumnStore store;
   store.schema_ = std::move(schema);
@@ -178,6 +105,49 @@ ColumnStore ColumnStore::WithSchema(const ColumnStore& src, SchemaPtr schema,
   store.partitions_ = src.partitions_;
   store.deferred_ = src.deferred_;
   return store;
+}
+
+void ColumnStore::ReserveForAppend(size_t n) {
+  const size_t target = rows() + n;
+  for (ValueColumn& col : value_columns_) col.values.reserve(target);
+  for (EvidenceColumn& col : evidence_columns_) col.offsets.reserve(target + 1);
+  for (BoxedColumn& col : boxed_columns_) col.sets.reserve(target);
+  ReserveRows(target);
+}
+
+void ColumnStore::AppendRow(ExtendedTuple tuple) {
+  partitions_.clear();
+  encoded_keys_.Reset();
+  statistics_.Reset();
+  for (size_t a = 0; a < kinds_.size(); ++a) {
+    Cell& cell = tuple.cells[a];
+    switch (kinds_[a]) {
+      case ColumnKind::kValue:
+        value_column_mut(a).values.push_back(std::move(std::get<Value>(cell)));
+        break;
+      case ColumnKind::kEvidence: {
+        EvidenceColumn& col = evidence_column_mut(a);
+        const MassFunction& mass = std::get<EvidenceSet>(cell).mass();
+        for (const auto& [set, m] : mass.focals()) {
+          col.words.push_back(set.InlineWord());
+          col.masses.push_back(m);
+        }
+        // Spans are addressed with 32-bit offsets; a column with 2^32
+        // focal elements (> 64 GiB packed) exhausts memory long before
+        // this, so the limit fails loudly instead of wrapping silently.
+        if (col.words.size() > std::numeric_limits<uint32_t>::max()) {
+          std::abort();
+        }
+        col.offsets.push_back(static_cast<uint32_t>(col.words.size()));
+        break;
+      }
+      case ColumnKind::kBoxed:
+        boxed_column_mut(a).sets.push_back(
+            std::move(std::get<EvidenceSet>(cell)));
+        break;
+    }
+  }
+  AppendMembership(tuple.membership);
 }
 
 Status ColumnStore::EnsurePartitionVerified(size_t partition) const {

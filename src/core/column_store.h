@@ -48,9 +48,8 @@ struct TableStatistics {
   }
 };
 
-/// \brief The column-major storage mode of an extended relation: one
-/// column per schema attribute plus the membership support pairs as
-/// parallel sn/sp arrays.
+/// \brief The storage of an extended relation: one column per schema
+/// attribute plus the membership support pairs as parallel sn/sp arrays.
 ///
 /// Key and definite attributes become plain Value columns. Uncertain
 /// attributes over inline (≤ 64 value) domains — every paper domain —
@@ -62,8 +61,9 @@ struct TableStatistics {
 /// domains stay boxed as EvidenceSet objects (rare; the row kernels
 /// handle them).
 ///
-/// The conversion is lossless: FromRows walks the rows once, and
-/// MaterializeRow decodes tuples equal to the originals.
+/// Rows enter through the operators' splice primitives, the loaders, or
+/// AppendRow (every ExtendedRelation insert). Packing is lossless:
+/// MaterializeRow decodes tuples equal to the ones appended.
 class ColumnStore {
  public:
   /// One packed uncertain attribute. Row r's focal elements occupy
@@ -116,12 +116,6 @@ class ColumnStore {
   enum class ColumnKind { kValue, kEvidence, kBoxed };
 
   ColumnStore() = default;
-
-  /// \brief Packs a row store column-major. O(total cells + total focal
-  /// elements); performs no validation (the relation's invariants hold
-  /// by construction).
-  static ColumnStore FromRows(SchemaPtr schema, std::string name,
-                              const std::vector<ExtendedTuple>& rows);
 
   /// \brief An empty store with `schema`'s column layout (kinds and
   /// slots prepared, zero rows) — the starting point for operators that
@@ -229,7 +223,8 @@ class ColumnStore {
   SupportPair membership(size_t row) const { return {sn_[row], sp_[row]}; }
 
   /// \brief Materializes row `row`'s evidence for attribute `attr` as an
-  /// EvidenceSet, for the row-store boundary. Handles both layouts: packed
+  /// EvidenceSet, for callers that need one tuple's cell (row(i), the
+  /// row-at-a-time integration steps). Handles both layouts: packed
   /// kEvidence columns are decoded, boxed (wide-frame) columns returned
   /// as stored.
   EvidenceSet MaterializeEvidence(size_t attr, size_t row) const;
@@ -253,6 +248,21 @@ class ColumnStore {
     sn_.reserve(n);
     sp_.reserve(n);
   }
+  /// @}
+
+  /// \name Row appending (the ExtendedRelation insert path).
+  ///
+  /// AppendRow adds one tuple whose cells already match the schema (the
+  /// caller validated them): values and boxed sets are moved in, packed
+  /// evidence is encoded into the focal spans. The store then no longer
+  /// matches its zone maps, encoded-key arena or statistics, so every
+  /// append drops the zone maps (the store becomes monolithic) and
+  /// resets both caches. A borrowed span detaches into an owned copy on
+  /// its first append. The caller owns the store exclusively and has
+  /// driven its deferred checks.
+  /// @{
+  void ReserveForAppend(size_t n);
+  void AppendRow(ExtendedTuple tuple);
   /// @}
 
   /// \name Partition zone maps.

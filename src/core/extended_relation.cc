@@ -36,10 +36,20 @@ Status MakeDuplicateKeyError(const KeyVector& key,
   return Status::AlreadyExists(std::move(message));
 }
 
+ExtendedRelation::ExtendedRelation()
+    : columns_(std::make_shared<ColumnStore>()) {}
+
+ExtendedRelation::ExtendedRelation(std::string name, SchemaPtr schema)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      columns_(std::make_shared<ColumnStore>(
+          ColumnStore::EmptyLike(schema_, name_))) {}
+
 ExtendedRelation ExtendedRelation::AdoptColumns(ColumnStore store) {
-  ExtendedRelation rel(store.name(), store.schema());
-  rel.columns_.Set(std::make_shared<ColumnStore>(std::move(store)));
-  rel.columnar_ = true;
+  ExtendedRelation rel;
+  rel.name_ = store.name();
+  rel.schema_ = store.schema();
+  *rel.columns_ = std::move(store);
   return rel;
 }
 
@@ -50,52 +60,46 @@ ExtendedRelation ExtendedRelation::AdoptColumnsWithIndex(
   return rel;
 }
 
-size_t ExtendedRelation::size() const {
-  return columnar_ ? columns_.get()->rows() : rows_.size();
-}
+size_t ExtendedRelation::size() const { return columns_->rows(); }
 
 ExtendedTuple ExtendedRelation::row(size_t i) const {
-  return columnar_ ? columns_.get()->MaterializeRow(i) : rows_[i];
+  return columns_->MaterializeRow(i);
 }
 
 void ExtendedRelation::Reserve(size_t n) {
-  PrepareForInsert();
-  rows_.reserve(n);
+  // A store whose deferred checks fail is left alone: the next insert
+  // reports the failure.
+  Result<ColumnStore*> store = WritableColumns();
+  if (!store.ok()) return;
+  (*store)->ReserveForAppend(n);
+  (void)key_index();
   key_index_.Mutable().Reserve(n);
 }
 
 const EncodedKeyIndex& ExtendedRelation::key_index() const {
   return key_index_.GetOrBuild([this] {
+    // The store's cached encoded-key arena survives across queries for
+    // catalog relations (their column image is shared), so the index
+    // build re-encodes nothing.
+    const ColumnStore::EncodedKeys& keys = columns_->encoded_keys();
     EncodedKeyIndex index;
-    std::string encoded;
     const size_t n = size();
     index.Reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (columnar_) {
-        // The store's cached encoded-key arena survives across queries
-        // for catalog relations (their column image is shared), so the
-        // index build re-encodes nothing.
-        index.Insert(columns_.get()->encoded_keys().key(r));
-      } else {
-        EncodeKeyOf(rows_[r], &encoded);
-        index.Insert(encoded);
-      }
-    }
+    for (size_t r = 0; r < n; ++r) index.Insert(keys.key(r));
     return index;
   });
 }
 
-void ExtendedRelation::PrepareForInsert() {
-  if (columnar_) {
-    (void)key_index();
-    const ColumnStore& store = *columns_.get();
-    rows_.reserve(store.rows());
-    for (size_t r = 0; r < store.rows(); ++r) {
-      rows_.push_back(store.MaterializeRow(r));
-    }
-    columnar_ = false;
+Result<ColumnStore*> ExtendedRelation::WritableColumns() {
+  // An append reads and rewrites every column, so a mapped image's
+  // deferred checks all run first: a corrupt image fails the insert with
+  // the error an owned load reports instead of being copied out as data.
+  EVIDENT_RETURN_NOT_OK(columns_->EnsureAllVerified());
+  if (columns_.use_count() > 1) {
+    columns_ = std::make_shared<ColumnStore>(*columns_);
   }
-  columns_.Reset();
+  columns_->ClearDeferredVerification();
+  return columns_.get();
 }
 
 Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
@@ -158,32 +162,25 @@ Status ExtendedRelation::ValidateTuple(const ExtendedTuple& tuple,
   return Status::OK();
 }
 
-Status ExtendedRelation::InsertImpl(ExtendedTuple tuple,
-                                    bool require_positive_sn, bool validate) {
-  if (validate) {
-    EVIDENT_RETURN_NOT_OK(ValidateTuple(tuple, require_positive_sn));
-  }
+Status ExtendedRelation::Insert(ExtendedTuple tuple) {
+  EVIDENT_RETURN_NOT_OK(ValidateTuple(tuple, /*require_positive_sn=*/true));
   return InsertTrusted(std::move(tuple));
 }
 
-Status ExtendedRelation::Insert(ExtendedTuple tuple) {
-  return InsertImpl(std::move(tuple), /*require_positive_sn=*/true,
-                    /*validate=*/true);
-}
-
 Status ExtendedRelation::InsertUnchecked(ExtendedTuple tuple) {
-  return InsertImpl(std::move(tuple), /*require_positive_sn=*/false,
-                    /*validate=*/true);
+  EVIDENT_RETURN_NOT_OK(ValidateTuple(tuple, /*require_positive_sn=*/false));
+  return InsertTrusted(std::move(tuple));
 }
 
 Status ExtendedRelation::InsertTrusted(ExtendedTuple tuple) {
-  PrepareForInsert();
+  EVIDENT_ASSIGN_OR_RETURN(ColumnStore* const store, WritableColumns());
   std::string& encoded = EncodeScratch();
   EncodeKeyOf(tuple, &encoded);
+  (void)key_index();
   if (key_index_.Mutable().Insert(encoded) != EncodedKeyIndex::kNoRow) {
     return MakeDuplicateKeyError(KeyOf(tuple), name_);
   }
-  rows_.push_back(std::move(tuple));
+  store->AppendRow(std::move(tuple));
   return Status::OK();
 }
 
@@ -219,11 +216,6 @@ bool ExtendedRelation::ContainsKey(const KeyVector& key) const {
   std::string& encoded = EncodeScratch();
   EncodeKeyVector(key, &encoded);
   return key_index().Find(encoded) != EncodedKeyIndex::kNoRow;
-}
-
-const ColumnStore& ExtendedRelation::columns() const {
-  return columns_.GetOrBuild(
-      [this] { return ColumnStore::FromRows(schema_, name_, rows_); });
 }
 
 Status ExtendedRelation::ValidateInvariants() const {

@@ -46,26 +46,24 @@ struct EncodedKeyHash {
 /// tests and the boundedness property checker can materialize complement
 /// relations whose hypothetical tuples have sn = 0.
 ///
-/// A relation holds either rows or a column image. Insert-built
-/// relations (fixtures, loaders of the text format, the integration
-/// pipeline) keep a row store with an eagerly maintained key index. The
-/// relational operators build their outputs as a ColumnStore image
-/// (AdoptColumns) and execute over column images only. row(i) is an
-/// inspection view: on a columnar relation it decodes one tuple and
-/// caches nothing. The remaining lazy state — a row store's column
-/// image, a column image's key index — is built at most once through
-/// LazyValue, so every const member is safe to call from any number of
-/// threads (catalog relations, pinned snapshots and returned results are
-/// read concurrently). Insert on a columnar relation converts it to a
-/// row store in place; like any non-const call it needs exclusive
-/// access.
+/// A relation is a view over one ColumnStore: its column image is the
+/// only row container. The relational operators build their outputs as
+/// a ColumnStore (AdoptColumns) and execute over column images; Insert
+/// and its variants append to the image through ColumnStore::AppendRow.
+/// Copies share the store, and an append first takes a private copy of
+/// a shared store, so appending never changes another relation. row(i)
+/// is an inspection view that decodes one tuple and caches nothing. The
+/// key index is built at most once through LazyValue and then
+/// maintained by appends, so every const member is safe to call from
+/// any number of threads (catalog relations, pinned snapshots and
+/// returned results are read concurrently); like any non-const call, an
+/// insert needs exclusive access to the relation.
 class ExtendedRelation {
  public:
-  ExtendedRelation() = default;
-  ExtendedRelation(std::string name, SchemaPtr schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  ExtendedRelation();
+  ExtendedRelation(std::string name, SchemaPtr schema);
 
-  /// \brief Wraps a column image as a relation in columnar mode. The
+  /// \brief Wraps a column image as a relation. The
   /// store's row keys must be unique — the operators' outputs guarantee
   /// this by construction (a relation's keys are unique and the
   /// operators only ever narrow or disjointly combine key sets); the
@@ -85,16 +83,17 @@ class ExtendedRelation {
 
   size_t size() const;
   bool empty() const { return size() == 0; }
-  /// \brief Tuple `i` by value: a copy from the row store, or decoded
-  /// from the column image (nothing is cached). Loops over many rows
-  /// should read columns() instead.
+  /// \brief Tuple `i` by value, decoded from the column image (nothing
+  /// is cached). Loops over many rows should read columns() instead.
   ExtendedTuple row(size_t i) const;
 
-  /// \brief Pre-sizes the row store and key index for `n` inserts.
+  /// \brief Pre-sizes the column image and key index for `n` more
+  /// inserts.
   void Reserve(size_t n);
 
   /// \brief Validates the tuple against the schema and CWA_ER (sn > 0)
-  /// and appends it. Fails with AlreadyExists on a duplicate key.
+  /// and appends it. Fails with AlreadyExists on a duplicate key, and
+  /// with the load error of a mapped image whose deferred checks fail.
   Status Insert(ExtendedTuple tuple);
 
   /// \brief Like Insert but skips the sn > 0 check (still validates
@@ -122,19 +121,12 @@ class ExtendedRelation {
 
   /// \brief The key index over encoded keys (see EncodeKeyOf) — the
   /// allocation-free probe the operators use: Find returns the row or
-  /// EncodedKeyIndex::kNoRow. Maintained by inserts on a row store,
-  /// built on first use (once, thread-safely) over a column image.
+  /// EncodedKeyIndex::kNoRow. Built on first use (once, thread-safely)
+  /// from the store's encoded keys, then maintained by inserts.
   const EncodedKeyIndex& key_index() const;
 
-  /// \brief The column-major image of this relation: the native store in
-  /// columnar mode, built on first use (once, thread-safely) from a row
-  /// store and dropped by its next insert.
-  const ColumnStore& columns() const;
-
-  /// \brief True when this relation holds a column image rather than a
-  /// row store. Storage decides how it is serialized: the column-image
-  /// file format persists a columnar relation as is.
-  bool columnar_mode() const { return columnar_; }
+  /// \brief The column-major image holding this relation's tuples.
+  const ColumnStore& columns() const { return *columns_; }
 
   /// \brief Checks every stored tuple against the schema and the CWA_ER
   /// invariant; used by property tests and after deserialization.
@@ -151,19 +143,15 @@ class ExtendedRelation {
  private:
   Status ValidateTuple(const ExtendedTuple& tuple, bool require_positive_sn)
       const;
-  Status InsertImpl(ExtendedTuple tuple, bool require_positive_sn,
-                    bool validate);
-  /// Row-mode entry for inserts: converts a columnar relation to a row
-  /// store (keeping its key index) and drops the stale column image.
-  void PrepareForInsert();
+  /// The store for an append: drives any deferred checks of a mapped
+  /// image first (returning the load error they report), then takes a
+  /// private copy of a store other relations share.
+  Result<ColumnStore*> WritableColumns();
 
   std::string name_;
   SchemaPtr schema_;
-  std::vector<ExtendedTuple> rows_;  // row store (empty when columnar)
-  // Column image: the native store in columnar mode, a cache in row mode.
-  LazyValue<ColumnStore> columns_;
+  std::shared_ptr<ColumnStore> columns_;  // never null; shared by copies
   LazyValue<EncodedKeyIndex> key_index_;
-  bool columnar_ = false;
 };
 
 }  // namespace evident

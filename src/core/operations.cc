@@ -38,7 +38,7 @@ constexpr size_t kParallelGrain = 256;
 /// Cap on up-front row reservations in operators whose output cardinality
 /// is a *bound*, not a count (Product, Join): |L|·|R| can overflow size_t
 /// or demand multi-GB buffers for inputs that are themselves modest.
-/// Reserve at most this many rows and let the row store grow
+/// Reserve at most this many rows and let the columns grow
 /// geometrically past it.
 constexpr size_t kMaxReserveRows = size_t{1} << 20;
 
@@ -381,8 +381,8 @@ namespace {
 ///     cells come from.
 ///  4. Build — the output's column image is assembled column-at-a-time
 ///     by splicing value/span slices from the operand stores and the
-///     batch results, and adopted as a columnar-mode relation: no row
-///     objects, no index inserts.
+///     batch results, and adopted as a relation: no row objects, no
+///     index inserts.
 ///
 /// Fixed morsel boundaries and the serial verdict make the result
 /// bit-identical for any thread count.

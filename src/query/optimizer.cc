@@ -558,13 +558,11 @@ double EdgeDivisor(const PlanNode& node, const MultiJoinEdge& edge,
 /// System-R meets the zone maps: when a filter node sits directly on a
 /// partitioned scan, rows of partitions it refutes can never survive, so
 /// the unpruned row sum is a hard cap on the selectivity estimate.
-/// Returns SIZE_MAX (no cap) when the child is not a partitioned
-/// columnar scan.
+/// Returns SIZE_MAX (no cap) when the child is not a partitioned scan.
 size_t UnprunedRowCap(const PlanNode& filter) {
   const PlanNode* child = filter.left.get();
   if (child == nullptr || child->op != PlanNode::Op::kScan ||
-      child->rel == nullptr || child->rel->schema() == nullptr ||
-      !child->rel->columnar_mode()) {
+      child->rel == nullptr || child->rel->schema() == nullptr) {
     return std::numeric_limits<size_t>::max();
   }
   const ColumnStore& store = child->rel->columns();

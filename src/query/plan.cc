@@ -263,13 +263,8 @@ namespace {
 /// first. FilterRows — under select, prefilter, fused pipelines and the
 /// fused join probe — verifies only the partitions it keeps; every other
 /// consumer gets the full sweep here.
-/// Row-mode relations never have checks pending, and columns() is not
-/// consulted for them (it would build the image).
 Status EnsureScanVerified(const ExtendedRelation& rel) {
-  if (!rel.columnar_mode()) return Status::OK();
-  const ColumnStore& store = rel.columns();
-  if (!store.deferred_verification_pending()) return Status::OK();
-  return store.EnsureAllVerified();
+  return rel.columns().EnsureAllVerified();
 }
 
 /// Executes a kFused node: one FilterRows pass over the scan's shared
@@ -545,12 +540,8 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
       *os << "scan[" << node.relation;
       if (node.rel != nullptr) {
         *os << ", " << node.rel->size() << " rows";
-        // Only a columnar relation can carry partitions (the EVCIMG03
-        // loader's product); columns() is free to consult there.
-        if (node.rel->columnar_mode()) {
-          const size_t parts = node.rel->columns().partitions().size();
-          if (parts > 0) *os << ", " << parts << " partition(s)";
-        }
+        const size_t parts = node.rel->columns().partitions().size();
+        if (parts > 0) *os << ", " << parts << " partition(s)";
       }
       *os << "]";
       break;
@@ -618,7 +609,7 @@ void RenderNode(const PlanNode& node, size_t indent, std::ostringstream* os) {
       // Zone-map verdicts are plan-time facts (the zones ride the
       // catalog image, the stages are bound), so EXPLAIN shows exactly
       // which partitions an ungoverned scan skips.
-      if (node.rel != nullptr && node.rel->columnar_mode()) {
+      if (node.rel != nullptr) {
         const ColumnStore& store = node.rel->columns();
         if (!store.partitions().empty()) {
           const std::vector<uint8_t> refuted = RefutedPartitions(

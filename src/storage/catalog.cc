@@ -8,10 +8,10 @@ namespace evident {
 
 namespace {
 
-/// Builds every lazy cache the query layer may touch — the column image,
-/// the key index, the encoded-key arena and the table statistics — on
-/// the registering thread, so the first query over a published relation
-/// does not pay for them. (The caches are safe to build concurrently
+/// Builds every lazy cache the query layer may touch — the key index,
+/// the encoded-key arena and the table statistics — on the registering
+/// thread, so the first query over a published relation does not pay
+/// for them. (The caches are safe to build concurrently
 /// through const; warming only moves their cost to registration.)
 void WarmRelation(const ExtendedRelation& relation) {
   const ColumnStore& columns = relation.columns();

@@ -287,47 +287,28 @@ Status CommitErelBlob(const std::string& blob, const std::string& path) {
 /// not silently persist garbage.
 Status VerifyBeforeSave(const Catalog& catalog) {
   for (const auto& [name, rel] : catalog.Snapshot()->relations()) {
-    if (!rel->columnar_mode()) continue;
     EVIDENT_RETURN_NOT_OK(rel->columns().EnsureAllVerified());
   }
   return Status::OK();
 }
 
-/// Verifies, serializes fully in memory with `write` — a failure there
-/// leaves no file-system trace at all, and the write loop never blocks
-/// on serialization — and commits. The only allocations between opening
+}  // namespace
+
+/// Verifies, serializes fully in memory — a failure there leaves no
+/// file-system trace at all, and the write loop never blocks on
+/// serialization — and commits. The only allocations between opening
 /// and renaming the temporary are error-message construction on a
 /// failure path (after the injector has disarmed), so catching here can
 /// leak neither a descriptor nor the temporary file.
-template <typename Write>
-Status SaveWith(const Catalog& catalog, const std::string& path,
-                Write write) {
+Status SaveErelFile(const Catalog& catalog, const std::string& path,
+                    const PartitionSpec& partitioning) {
   try {
     EVIDENT_RETURN_NOT_OK(VerifyBeforeSave(catalog));
-    return CommitErelBlob(write(), path);
+    return CommitErelBlob(WriteErelColumnImageV3(catalog, partitioning),
+                          path);
   } catch (const std::bad_alloc&) {
     return Status::ExecError("out of memory saving '" + path + "'");
   }
-}
-
-}  // namespace
-
-Status SaveErelFile(const Catalog& catalog, const std::string& path) {
-  return SaveWith(catalog, path, [&catalog] {
-    // Saving must not force row materialization: any columnar-mode
-    // relation routes the whole catalog through the column image.
-    for (const auto& [name, rel] : catalog.Snapshot()->relations()) {
-      if (rel->columnar_mode()) return WriteErelColumnImageV3(catalog);
-    }
-    return WriteErel(catalog);
-  });
-}
-
-Status SaveErelFile(const Catalog& catalog, const std::string& path,
-                    const PartitionSpec& partitioning) {
-  return SaveWith(catalog, path, [&] {
-    return WriteErelColumnImageV3(catalog, partitioning);
-  });
 }
 
 namespace {

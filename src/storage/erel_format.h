@@ -173,12 +173,12 @@ namespace evident {
 /// reached.
 
 /// \brief Serializes every domain and relation in the catalog as v1
-/// text. Materializes rows of columnar-mode relations (use the column
-/// image to avoid that).
+/// text, decoding every row from its column image. SaveErelFile writes
+/// v3; this is the way to produce a human-readable (and diffable) file.
 std::string WriteErel(const Catalog& catalog, int mass_decimals = 9);
 
-/// \brief How WriteErelColumnImageV3 / the partitioned SaveErelFile
-/// split each relation's rows into partitions.
+/// \brief How WriteErelColumnImageV3 / SaveErelFile split each
+/// relation's rows into partitions.
 struct PartitionSpec {
   enum class Scheme {
     /// One partition holding every row in store order (still a valid
@@ -201,41 +201,35 @@ struct PartitionSpec {
 
 /// \brief Serializes every domain and relation as a v3 partitioned
 /// column-image blob (layout above). Reads each relation's column image
-/// (the native store of a columnar-mode relation; the derived image of a
-/// row-mode one) and never materializes row objects. It writes the
+/// and never materializes row objects. It writes the
 /// store as it is, without validating it: a store that breaks an
 /// invariant serializes, and the loader rejects it.
 std::string WriteErelColumnImageV3(const Catalog& catalog,
                                    const PartitionSpec& partitioning = {});
 
 /// \brief Parses an .erel document — any format, distinguished by the
-/// magic and version bytes — into a catalog. Column-image relations are
-/// adopted in columnar mode. `source` names where the bytes came from
-/// (a file path, via LoadErelFile) and prefixes binary-format errors.
+/// magic and version bytes — into a catalog. Column images are adopted
+/// as they are; v1 text rows are inserted. `source` names where the
+/// bytes came from (a file path, via LoadErelFile) and prefixes
+/// binary-format errors.
 Result<Catalog> ReadErel(const std::string& text,
                          const std::string& source = "<memory>");
 
 /// \brief File convenience wrappers; LoadErelFile sniffs the format.
 ///
-/// SaveErelFile is crash-safe: the image is serialized fully in memory,
-/// written to `path + ".tmp"` in chunks (retrying interrupted writes),
-/// flushed to stable storage with fsync, and atomically renamed over
-/// `path`. A failure at any point — allocation, write, flush, rename —
-/// removes the temporary file and returns a clean Status with the
-/// previous contents of `path` untouched; readers of `path` never
-/// observe a torn or partial file. A mapped catalog's deferred checks
-/// all run before it is saved, so a corrupt image fails the save rather
-/// than being persisted.
-///
-/// This overload writes v1 text when every relation is a row store, and
-/// otherwise a monolithic v3 image (PartitionSpec{}) — saving never
-/// materializes the rows of a columnar relation.
-Status SaveErelFile(const Catalog& catalog, const std::string& path);
-
-/// \brief Saves a v3 column image partitioned by `partitioning` (same
-/// crash-safe commit).
+/// SaveErelFile writes every relation as a v3 column image, partitioned
+/// by `partitioning` (monolithic by default); WriteErel is the way to
+/// produce v1 text. The save is crash-safe: the image is serialized
+/// fully in memory, written to `path + ".tmp"` in chunks (retrying
+/// interrupted writes), flushed to stable storage with fsync, and
+/// atomically renamed over `path`. A failure at any point — allocation,
+/// write, flush, rename — removes the temporary file and returns a
+/// clean Status with the previous contents of `path` untouched; readers
+/// of `path` never observe a torn or partial file. A mapped catalog's
+/// deferred checks all run before it is saved, so a corrupt image fails
+/// the save rather than being persisted.
 Status SaveErelFile(const Catalog& catalog, const std::string& path,
-                    const PartitionSpec& partitioning);
+                    const PartitionSpec& partitioning = {});
 
 /// \brief Whether LoadErelFile opens a v3 image by memory-mapping it
 /// (adopting its numeric arrays zero-copy where the layout allows) or by

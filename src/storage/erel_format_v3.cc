@@ -946,6 +946,16 @@ Status ParseV3(ByteReader& in, const char* data,
     ColumnStore store = ColumnStore::EmptyLike(schema, rel_name);
     std::vector<EvidenceAccumulator> evidence(schema->size());
     std::vector<double> sn_acc, sp_acc;
+    // Value and boxed columns are sized once for the whole relation:
+    // sizing them per chunk would reallocate and copy them once per
+    // partition.
+    for (size_t a = 0; a < schema->size(); ++a) {
+      if (store.kind(a) == ColumnStore::ColumnKind::kValue) {
+        store.value_column_mut(a).values.reserve(rows);
+      } else if (store.kind(a) == ColumnStore::ColumnKind::kBoxed) {
+        store.boxed_column_mut(a).sets.reserve(rows);
+      }
+    }
     const char* sn_borrowed = nullptr;
     const char* sp_borrowed = nullptr;
     size_t row_base = 0;
@@ -976,7 +986,6 @@ Status ParseV3(ByteReader& in, const char* data,
         switch (store.kind(a)) {
           case ColumnStore::ColumnKind::kValue: {
             std::vector<Value>& dst = store.value_column_mut(a).values;
-            dst.reserve(dst.size() + chunk_rows);
             if (tag == 0) {
               for (size_t r = 0; r < chunk_rows; ++r) {
                 EVIDENT_ASSIGN_OR_RETURN(Value v,
@@ -1072,7 +1081,6 @@ Status ParseV3(ByteReader& in, const char* data,
             // Boxed columns decode (and therefore validate) eagerly in
             // every mode — EvidenceSet::Make is the only constructor.
             std::vector<EvidenceSet>& dst = store.boxed_column_mut(a).sets;
-            dst.reserve(dst.size() + chunk_rows);
             const size_t universe = attr.domain->size();
             for (size_t r = 0; r < chunk_rows; ++r) {
               EVIDENT_ASSIGN_OR_RETURN(uint32_t focal_count,

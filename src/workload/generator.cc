@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/column_store.h"
 #include "ds/combination.h"
 
 namespace evident {
@@ -119,8 +120,17 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
   const size_t n = options.base.num_tuples;
   const size_t shared = static_cast<size_t>(options.key_overlap * n);
   ExtendedRelation b("srcB", schema);
+  const ColumnStore& a_columns = a.columns();
+  Cell a_cell;  // a shared key's cell in source A, read per attribute
   for (size_t i = 0; i < n; ++i) {
     const size_t key_id = i < shared ? i : n + i;
+    size_t a_row = 0;
+    if (i < shared) {
+      EVIDENT_ASSIGN_OR_RETURN(
+          a_row,
+          a.FindByKey(
+              {Value(options.base.key_prefix + std::to_string(key_id))}));
+    }
     ExtendedTuple t;
     t.cells.reserve(schema->size());
     const bool conflicting =
@@ -136,9 +146,8 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
           // Shared keys must agree on definite attributes (the paper's
           // preprocessing guarantee), so copy from source A.
           if (i < shared) {
-            auto row = a.FindByKey(
-                {Value(options.base.key_prefix + std::to_string(key_id))});
-            t.cells.push_back(a.row(*row).cells[c]);
+            a_columns.ReadCell(c, a_row, &a_cell);
+            t.cells.push_back(a_cell);
           } else {
             t.cells.emplace_back(Value(static_cast<int64_t>(rng_.Below(1000))));
           }
@@ -151,10 +160,8 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
             // the same underlying truth. Discounting A's evidence keeps
             // some mass on Θ, which intersects everything, so Dempster
             // combination can never totally conflict.
-            auto row = a.FindByKey(
-                {Value(options.base.key_prefix + std::to_string(key_id))});
-            const EvidenceSet aes =
-                std::get<EvidenceSet>(a.row(*row).cells[c]);
+            a_columns.ReadCell(c, a_row, &a_cell);
+            const EvidenceSet& aes = std::get<EvidenceSet>(a_cell);
             const double reliability = 0.3 + 0.6 * rng_.NextDouble();
             EVIDENT_ASSIGN_OR_RETURN(EvidenceSet es,
                                      DiscountEvidence(aes, reliability));
@@ -164,9 +171,8 @@ WorkloadGenerator::MakeSourcePair(const SourcePairOptions& options) {
           if (conflicting && i < shared) {
             // Build evidence disjoint from A's focal union so Dempster
             // conflict is high (often total).
-            auto row = a.FindByKey(
-                {Value(options.base.key_prefix + std::to_string(key_id))});
-            const EvidenceSet aes = std::get<EvidenceSet>(a.row(*row).cells[c]);
+            a_columns.ReadCell(c, a_row, &a_cell);
+            const EvidenceSet& aes = std::get<EvidenceSet>(a_cell);
             ValueSet support(attr.domain->size());
             for (const auto& [set, mass] : aes.mass().focals()) {
               support = support.Union(set);

@@ -651,10 +651,7 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
       ASSERT_TRUE(image.ok()) << tag << ": " << image.status().ToString();
       std::vector<ExtendedRelation> image_bases;
       for (const ExtendedRelation& base : c.bases) {
-        const ExtendedRelation* loaded =
-            image->GetRelation(base.name()).value();
-        EXPECT_TRUE(loaded->columnar_mode()) << tag;
-        image_bases.push_back(*loaded);
+        image_bases.push_back(*image->GetRelation(base.name()).value());
       }
       ExpectOutcomesMatch(expected, RunPlan(image_bases, c.nodes),
                           /*eps=*/0.0, /*compare_messages=*/true,
@@ -685,7 +682,6 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
       std::vector<size_t> saved_ops;
       for (size_t i = 0; i < columnar.size(); ++i) {
         if (!columnar[i].ok() || columnar[i]->size() == 0) continue;
-        EXPECT_TRUE(columnar[i]->columnar_mode()) << tag << " op " << i;
         ExtendedRelation copy = *columnar[i];
         copy.set_name("out" + std::to_string(i));
         ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok()) << tag;
@@ -697,7 +693,6 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
       for (size_t i : saved_ops) {
         const ExtendedRelation* rel =
             loaded->GetRelation("out" + std::to_string(i)).value();
-        EXPECT_TRUE(rel->columnar_mode()) << tag;
         ExpectRelationsMatch(*columnar[i], *rel, /*eps=*/0.0,
                              tag + " image output round trip op " +
                                  std::to_string(i) + " (" +
@@ -823,7 +818,6 @@ TEST(FuzzDifferentialTest, OperatorTreesMatchReferenceAcrossModesAndFormats) {
         Status deferred = Status::OK();
         for (const std::string& name : bad_mapped->RelationNames()) {
           const ExtendedRelation* rel = bad_mapped->GetRelation(name).value();
-          if (!rel->columnar_mode()) continue;
           deferred = rel->columns().EnsureAllVerified();
           if (!deferred.ok()) break;
         }

@@ -275,7 +275,7 @@ std::pair<ExtendedRelation, ExtendedRelation> MakeSources(uint64_t seed,
 
 TEST(ColumnarDifferentialTest, ColumnStoreRoundTripIsLossless) {
   auto [a, b] = MakeSources(42, 80, 0.2);
-  // The adopted (columnar-mode) relation decodes the same rows.
+  // A relation adopting a copy of the column image decodes the same rows.
   ExtendedRelation adopted =
       ExtendedRelation::AdoptColumns(a.columns());
   ExpectRelationsMatch(a, adopted, 0.0, "adopted column image");

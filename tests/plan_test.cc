@@ -327,7 +327,6 @@ TEST_F(PlanTest, RenameAdoptsColumnImage) {
   ExtendedRelation columnar = ExtendedRelation::AdoptColumns(l.columns());
   auto renamed = RenameAttribute(columnar, "ld", "ld_renamed");
   ASSERT_TRUE(renamed.ok()) << renamed.status();
-  EXPECT_TRUE(renamed->columnar_mode());
   EXPECT_TRUE(renamed->schema()->Has("ld_renamed"));
   auto expected = reference::RenameAttribute(l, "ld", "ld_renamed");
   ASSERT_TRUE(expected.ok());

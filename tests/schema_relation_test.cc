@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "core/column_store.h"
 #include "core/extended_relation.h"
+#include "core/operations.h"
 #include "core/schema.h"
+#include "query/engine.h"
+#include "storage/erel_format.h"
+#include "storage/mmap_file.h"
 #include "workload/paper_fixtures.h"
 
 namespace evident {
@@ -228,6 +235,157 @@ TEST(ExtendedRelationTest, CompositeKey) {
   ASSERT_TRUE(r.Insert(std::move(t2)).ok());  // reversed key is distinct
   EXPECT_EQ(r.size(), 2u);
   EXPECT_TRUE(r.ContainsKey({Value(int64_t{1}), Value(int64_t{2})}));
+}
+
+
+// ---------------------------------------------------------------------------
+// Appending: every insert goes through ColumnStore::AppendRow, whatever
+// produced the store it lands in.
+
+/// The appended tuple is the relation's last row, and every derived
+/// structure — key index, encoded-key arena, statistics — includes it.
+void ExpectAppended(const ExtendedRelation& rel, const ExtendedTuple& tuple,
+                    size_t rows) {
+  ASSERT_EQ(rel.size(), rows);
+  const size_t last = rows - 1;
+  const ExtendedTuple got = rel.row(last);
+  EXPECT_TRUE(got.membership.ApproxEquals(tuple.membership, 0.0));
+  ASSERT_EQ(got.cells.size(), tuple.cells.size());
+  for (size_t c = 0; c < tuple.cells.size(); ++c) {
+    EXPECT_TRUE(CellApproxEquals(got.cells[c], tuple.cells[c], 0.0)) << c;
+  }
+  std::string encoded;
+  rel.EncodeKeyOf(tuple, &encoded);
+  EXPECT_EQ(rel.key_index().Find(encoded), last);
+  EXPECT_EQ(rel.columns().encoded_keys().key(last), encoded);
+  EXPECT_EQ(rel.columns().statistics().row_count, rows);
+  EXPECT_EQ(rel.FindByKey(rel.KeyOf(tuple)).value(), last);
+}
+
+/// Re-inserting a key already in the store fails with the shared
+/// duplicate-key text and leaves the relation as it was.
+void ExpectDuplicateRejected(ExtendedRelation* rel, size_t row) {
+  const size_t rows = rel->size();
+  const ExtendedTuple existing = rel->row(row);
+  const Status status = rel->Insert(existing);
+  EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(status.message(),
+            MakeDuplicateKeyError(rel->KeyOf(existing), rel->name())
+                .message());
+  EXPECT_EQ(rel->size(), rows);
+}
+
+TEST(AppendTest, InsertOntoSelectOutput) {
+  auto schema = SimpleSchema().value();
+  ExtendedRelation base("R", schema);
+  for (const char* colour : {"red", "green", "blue"}) {
+    ASSERT_TRUE(base.Insert(MakeTuple(schema, colour, "l", colour,
+                                      SupportPair::Certain()))
+                    .ok());
+  }
+  auto selected = Select(base, IsSym("colour", {"red", "green"}));
+  ASSERT_TRUE(selected.ok()) << selected.status();
+  ASSERT_EQ(selected->size(), 2u);
+  // Build the caches the append must reset.
+  (void)selected->columns().statistics();
+  (void)selected->key_index();
+  const ExtendedTuple added =
+      MakeTuple(schema, "violet", "v", "blue", SupportPair(0.4, 0.9));
+  ASSERT_TRUE(selected->Insert(added).ok());
+  ExpectAppended(*selected, added, 3);
+  ExpectDuplicateRejected(&*selected, 0);
+  EXPECT_EQ(base.size(), 3u);
+}
+
+TEST(AppendTest, InsertOntoCopyLeavesTheSharedStoreAlone) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterRelation(paper::TableRA().value()).ok());
+  const ExtendedRelation* original = catalog.GetRelation("RA").value();
+  const ColumnStore* shared = &original->columns();
+  ExtendedRelation copy = *original;
+  EXPECT_EQ(&copy.columns(), shared);
+
+  ExtendedTuple added = original->row(0);
+  const size_t key = original->schema()->key_indices()[0];
+  added.cells[key] = Value("new place");
+  ASSERT_TRUE(copy.Insert(added).ok());
+  ExpectAppended(copy, added, 7);
+  ExpectDuplicateRejected(&copy, 2);
+  EXPECT_NE(&copy.columns(), shared);
+
+  EXPECT_EQ(&original->columns(), shared);
+  EXPECT_EQ(original->size(), 6u);
+  EXPECT_EQ(shared->rows(), 6u);
+  EXPECT_EQ(shared->statistics().row_count, 6u);
+  EXPECT_FALSE(original->ContainsKey({Value("new place")}));
+  EXPECT_TRUE(original->ApproxEquals(paper::TableRA().value(), 0.0));
+}
+
+TEST(AppendTest, InsertOntoMappedRelations) {
+  const std::string path = "/tmp/evident_test_append_mapped.erel";
+  SchemaPtr schema = RelationSchema::Make({AttributeDef::Key("k"),
+                                           AttributeDef::Definite("d")})
+                         .value();
+  auto tuple = [](int64_t k) {
+    ExtendedTuple t;
+    t.cells = {Value(k), Value(k % 7)};
+    t.membership = SupportPair::Certain();
+    return t;
+  };
+  Catalog catalog;
+  {
+    ExtendedRelation rel("P", schema);
+    for (int64_t k = 0; k < 64; ++k) ASSERT_TRUE(rel.Insert(tuple(k)).ok());
+    ASSERT_TRUE(catalog.RegisterRelation(std::move(rel)).ok());
+  }
+  PartitionSpec ranged;
+  ranged.scheme = PartitionSpec::Scheme::kKeyRange;
+  ranged.partitions = 4;
+  // A monolithic image borrows its numeric arrays from the mapping; a
+  // key-range image carries one zone map per partition.
+  for (const PartitionSpec& spec : {PartitionSpec{}, ranged}) {
+    const size_t parts = spec.partitions;
+    ASSERT_TRUE(SaveErelFile(catalog, path, spec).ok());
+    LoadOptions options;
+    options.map = LoadOptions::Map::kAlways;
+    auto mapped = LoadErelFile(path, options, nullptr);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    const ExtendedRelation* original = mapped->GetRelation("P").value();
+    ASSERT_EQ(original->columns().partitions().size(), parts);
+    EXPECT_EQ(original->columns().sn().borrowed(), parts == 1);
+    ExtendedRelation copy = *original;
+    ASSERT_TRUE(copy.Insert(tuple(1000)).ok()) << parts;
+    ExpectAppended(copy, tuple(1000), 65);
+    ExpectDuplicateRejected(&copy, 5);
+    // The old zone maps do not cover the new row, so they are gone, and
+    // the appended arrays are the copy's own.
+    EXPECT_TRUE(copy.columns().partitions().empty());
+    EXPECT_FALSE(copy.columns().sn().borrowed());
+    EXPECT_EQ(original->size(), 64u);
+    EXPECT_EQ(original->columns().partitions().size(), parts);
+    EXPECT_EQ(original->columns().sn().borrowed(), parts == 1);
+
+    // k > 500 refutes every old partition's zone, yet finds the new row.
+    auto selected =
+        Select(copy, Theta(ThetaOperand::Attr("k"), ThetaOp::kGt,
+                           ThetaOperand::LitValue(Value(int64_t{500}))));
+    ASSERT_TRUE(selected.ok()) << selected.status();
+    ASSERT_EQ(selected->size(), 1u);
+    EXPECT_TRUE(selected->ContainsKey({Value(int64_t{1000})}));
+
+    Catalog appended;
+    ASSERT_TRUE(appended.RegisterRelation(copy).ok());
+    QueryEngine engine(&appended);
+    const std::string query = "SELECT * FROM P WHERE k > 500";
+    auto result = engine.Execute(query);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->size(), 1u);
+    auto explain = engine.Explain(query);
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    EXPECT_EQ(explain->find("partition"), std::string::npos) << *explain;
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -485,8 +485,8 @@ TEST(SessionTest, ConcurrentWideFrameSelectsOverOneSharedRelation) {
 }
 
 // Two threads union against one shared operator output whose key index
-// and encoded keys are not built yet (and a row-store left operand whose
-// column image is not either): the first probes build them concurrently.
+// and encoded keys are not built yet (nor are the insert-built left
+// operand's encoded keys): the first probes build them concurrently.
 TEST(SessionTest, ConcurrentUnionsBuildSharedKeyIndexOnce) {
   ThreadGuard guard;
   SetParallelMaxThreads(2);

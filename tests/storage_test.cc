@@ -213,10 +213,9 @@ TEST(ColumnImageFormatTest, RoundTripsBitExactlyAndStaysColumnar) {
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  // The loader adopts the column image as is...
-  EXPECT_TRUE(rel->columnar_mode());
   ExpectRelationsMatch(*catalog.GetRelation("W").value(), *rel);
-  // ...so re-saving the loaded catalog reproduces the image byte for byte.
+  // The loader adopts the column image as is, so re-saving the loaded
+  // catalog reproduces the image byte for byte.
   EXPECT_EQ(WriteErelColumnImageV3(*loaded), blob);
 }
 
@@ -227,19 +226,17 @@ TEST(ColumnImageFormatTest, RoundTripsColumnarOperatorOutput) {
   auto selected = Select(*catalog.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1", "v2", "v3"}));
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
-  ASSERT_TRUE(selected->columnar_mode());
   ExtendedRelation copy = *selected;
   copy.set_name("S");
   Catalog outputs;
   ASSERT_TRUE(outputs.RegisterRelation(std::move(copy)).ok());
   const std::string blob = WriteErelColumnImageV3(outputs);
-  EXPECT_TRUE(outputs.GetRelation("S").value()->columnar_mode());
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ExpectRelationsMatch(*selected, *loaded->GetRelation("S").value());
 }
 
-TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
+TEST(ColumnImageFormatTest, RoundTripsEmptyAndInsertBuiltRelations) {
   auto schema = RelationSchema::Make({AttributeDef::Key("k")}).value();
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterRelation(ExtendedRelation("E", schema)).ok());
@@ -251,7 +248,7 @@ TEST(ColumnImageFormatTest, RoundTripsEmptyAndRowModeRelations) {
                        *loaded->GetRelation("RA").value());
 }
 
-TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
+TEST(ColumnImageFormatTest, SaveErelFileWritesV3ForEveryCatalog) {
   const std::string path = "/tmp/evident_test_format_pick.erel";
   auto first_bytes = [&path]() {
     std::ifstream in(path, std::ios::binary);
@@ -259,11 +256,12 @@ TEST(ColumnImageFormatTest, SaveErelFilePicksFormatByStorageMode) {
     in.read(head.data(), 8);
     return head;
   };
-  // All relations row-mode: the human-readable text format.
-  Catalog rows = GeneratedCatalog(5, 10);
-  ASSERT_TRUE(SaveErelFile(rows, path).ok());
-  EXPECT_EQ(first_bytes(), "# eviden");
-  // A columnar relation present: a monolithic column image.
+  // Insert-built relations only: a monolithic column image (v1 text
+  // comes only from WriteErel).
+  Catalog inserted = GeneratedCatalog(5, 10);
+  ASSERT_TRUE(SaveErelFile(inserted, path).ok());
+  EXPECT_EQ(first_bytes(), "EVCIMG03");
+  // With an operator output beside them: the same.
   Catalog mixed = GeneratedCatalog(6, 10);
   auto selected = Select(*mixed.GetRelation("W").value(),
                          IsSym("unc0", {"v0", "v1"}));
@@ -378,7 +376,6 @@ TEST(ColumnImageFormatTest, StatisticsFooterRoundTrips) {
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     const ExtendedRelation* rel = loaded->GetRelation("W").value();
     const TableStatistics& restored = rel->columns().statistics();
-    EXPECT_TRUE(rel->columnar_mode());
     ASSERT_EQ(restored.row_count, built.row_count);
     ASSERT_EQ(restored.attributes.size(), built.attributes.size());
     for (size_t a = 0; a < built.attributes.size(); ++a) {
@@ -520,7 +517,6 @@ TEST(ColumnImageV3Test, MonolithicRoundTripsBitExactly) {
   auto loaded = ReadErel(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const ExtendedRelation* rel = loaded->GetRelation("W").value();
-  EXPECT_TRUE(rel->columnar_mode());
   // A monolithic image is one partition covering every row.
   ASSERT_EQ(rel->columns().partitions().size(), 1u);
   EXPECT_EQ(rel->columns().partitions()[0].end_row, rel->size());
@@ -697,8 +693,7 @@ TEST(ColumnImageV3Test, EmptyRelationAndAutoFallback) {
   EXPECT_EQ((*loaded->GetRelation("E"))->columns().partitions().size(), 1u);
 
   const std::string path = "/tmp/evident_test_v3_fallback.erel";
-  Catalog rows = GeneratedCatalog(59, 10);
-  ASSERT_TRUE(SaveErelFile(rows, path).ok());
+  WriteFile(path, WriteErel(GeneratedCatalog(59, 10)));
   LoadInfo info;
   auto fallback = LoadErelFile(path, LoadOptions{}, &info);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
@@ -838,6 +833,80 @@ TEST(ColumnImageV3Test, PrunedPartitionsAreNeverVerified) {
   }
   EXPECT_EQ(MappedFile::live_mappings(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(ColumnImageV3Test, InsertIntoCopyOfCorruptMappedImageFails) {
+  // Appending to a copy of a mapped relation rewrites every column, so
+  // the image's deferred checks must run first: a corrupt image fails
+  // the insert with the owned load's error instead of being copied out
+  // (and later saved) as if it were data.
+  const std::string path = "/tmp/evident_test_v3_insert_corrupt.erel";
+  SchemaPtr schema = RelationSchema::Make({AttributeDef::Key("k"),
+                                           AttributeDef::Definite("d")})
+                         .value();
+  auto tuple = [](int64_t k, int64_t d) {
+    ExtendedTuple t;
+    t.cells = {Value(k), Value(d)};
+    t.membership = SupportPair::Certain();
+    return t;
+  };
+  ExtendedRelation rel("R", schema);
+  for (int64_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(rel.Insert(tuple(i, 1000000007 * (i + 1))).ok());
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterRelation(std::move(rel)).ok());
+  PartitionSpec spec;
+  spec.scheme = PartitionSpec::Scheme::kHash;
+  spec.partitions = 2;
+  const std::string blob = WriteErelColumnImageV3(catalog, spec);
+
+  // A d value of partition 0 that is neither its zone's min nor max
+  // occurs in the file once: in partition 0's chunk.
+  auto owned = ReadErel(blob);
+  ASSERT_TRUE(owned.ok()) << owned.status();
+  const ColumnStore& store = owned->GetRelation("R").value()->columns();
+  ASSERT_EQ(store.partitions().size(), 2u);
+  const ColumnStore::PartitionZone& zone = store.partitions()[0];
+  size_t pos = std::string::npos;
+  for (size_t r = zone.begin_row; r < zone.end_row; ++r) {
+    const Value& v = store.value_column(1).values[r];
+    if (v == zone.values[1].min || v == zone.values[1].max) continue;
+    const int64_t d = v.int_value();
+    const std::string pattern(reinterpret_cast<const char*>(&d), sizeof(d));
+    pos = blob.find(pattern);
+    ASSERT_EQ(pos, blob.rfind(pattern));
+    break;
+  }
+  ASSERT_NE(pos, std::string::npos);
+  std::string corrupt = blob;
+  corrupt[pos + 1] = static_cast<char>(corrupt[pos + 1] ^ 0x01);
+  WriteFile(path, corrupt);
+  const Status eager = FirstLoadError(path, LoadOptions::Map::kNever);
+  ASSERT_FALSE(eager.ok());
+  EXPECT_NE(eager.message().find(
+                "relation 'R' partition 0: chunk checksum mismatch"),
+            std::string::npos)
+      << eager;
+
+  {
+    LoadOptions options;
+    options.map = LoadOptions::Map::kAlways;
+    auto mapped = LoadErelFile(path, options, nullptr);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    ExtendedRelation copy = *mapped->GetRelation("R").value();
+    const Status inserted = copy.Insert(tuple(1000, 1));
+    EXPECT_EQ(inserted.message(), eager.message());
+    EXPECT_EQ(copy.size(), 16u);
+    // Nor can the relation be saved.
+    Catalog resaved;
+    ASSERT_TRUE(resaved.RegisterRelation(copy).ok());
+    EXPECT_EQ(SaveErelFile(resaved, path + ".out").message(),
+              eager.message());
+  }
+  EXPECT_EQ(MappedFile::live_mappings(), 0u);
+  std::remove(path.c_str());
+  std::remove((path + ".out").c_str());
 }
 
 TEST(CsvTest, ParsesHeaderAndRows) {

@@ -3,9 +3,11 @@
 # one command — the recipe ROADMAP.md used to carry as prose.
 #
 #   asan (default): storage/join/fuzz/plan/governor/fault-injection/
-#                   session/reference-oracle suites under ASan + UBSan
-#                   (the session suite pins catalog snapshots across
-#                   replaces — the UAF regression lives there).
+#                   session/reference-oracle/relation suites under ASan
+#                   + UBSan (the session suite pins catalog snapshots
+#                   across replaces — the UAF regression lives there;
+#                   the relation suite appends to stores borrowed from
+#                   a mapping).
 #   tsan:           the threaded suites (morsel scheduler, join probe,
 #                   fused pipelines, the differential fuzz harness —
 #                   which runs every operator at threads=7 — the
@@ -57,8 +59,8 @@ run_pass() {
   esac
   local targets=(storage_test join_test fuzz_differential_test plan_test
                  morsel_test governor_test fault_injection_test session_test
-                 reference_algebra_test)
-  local filter='^(storage_test|join_test|fuzz_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|reference_algebra_test)$'
+                 reference_algebra_test schema_relation_test)
+  local filter='^(storage_test|join_test|fuzz_differential_test|plan_test|morsel_test|governor_test|fault_injection_test|session_test|reference_algebra_test|schema_relation_test)$'
 
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset "${preset}" || {
